@@ -24,9 +24,10 @@ from .oracle import (
     count_punctual_total_vs_table,
     results_to_csv,
 )
-from .oracle.counting import MIN_BUDGET, default_budget
+from .oracle.counting import GRASSMANNIAN_BRIDGES, MIN_BUDGET, default_budget
 from .strata import (
     TARGETS,
+    ConsistencyReport,
     assemble,
     betti_csv,
     betti_markdown,
@@ -101,7 +102,7 @@ def cmd_verify(args) -> int:
             _write(json.dumps(suite_to_dict(suite), indent=2) + "\n", args.output)
         elif args.format == "md":
             blocks = [report_markdown(r) for r in suite.reports]
-            blocks.append(_omega26_markdown())
+            blocks.append(_omega26_markdown(suite.omega26))
             _write("\n".join(blocks), args.output)
         elif args.format == "csv":
             lines = ["target,i,b_2i"]
@@ -110,7 +111,7 @@ def cmd_verify(args) -> int:
             _write("\n".join(lines) + "\n", args.output)
         else:
             blocks = [report_text(r) for r in suite.reports]
-            blocks.append(_omega26_text())
+            blocks.append(_omega26_text(suite.omega26))
             _write("".join(blocks), args.output)
         return 0 if suite.passed else 1
 
@@ -120,9 +121,9 @@ def cmd_verify(args) -> int:
             doc = {"schema": 1, "omega26_consistency": consistency_to_dict(consistency)}
             _write(json.dumps(doc, indent=2) + "\n", args.output)
         elif args.format == "md":
-            _write(_omega26_markdown(), args.output)
+            _write(_omega26_markdown(consistency), args.output)
         else:
-            _write(_omega26_text(), args.output)
+            _write(_omega26_text(consistency), args.output)
         # informational: the comparison never alone forces a failure
         return 0
 
@@ -139,8 +140,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _omega26_markdown() -> str:
-    _, c = omega26_assembled()
+def _omega26_markdown(c: ConsistencyReport) -> str:
     lines = ["# omega26 consistency (informational)", ""]
     lines.append(f"Assembled euler: {c.assembled.euler()}; "
                  f"stated euler: {c.stated.euler()}; "
@@ -150,8 +150,7 @@ def _omega26_markdown() -> str:
     return "\n".join(lines)
 
 
-def _omega26_text() -> str:
-    _, c = omega26_assembled()
+def _omega26_text(c: ConsistencyReport) -> str:
     lines = ["omega26 consistency (informational):"]
     for sid, cls in c.parts:
         lines.append(f"  {sid}: {cls}  (euler {cls.euler()})")
@@ -170,8 +169,8 @@ def cmd_oracle(args) -> int:
     budget = _resolve_budget(args)
     results = []
     if args.check == "gr":
-        for name in ("gr(1,2)", "gr(1,3)", "gr(2,4)", "gr(2,5)", "gr(2,6)"):
-            results += bridge_check(name, qs, budget)
+        for k, n in GRASSMANNIAN_BRIDGES:
+            results += bridge_check(f"gr({k},{n})", qs, budget)
     elif args.check == "hilb2":
         results += bridge_check("hilb2", qs, budget)
     elif args.check == "punctual":
@@ -202,7 +201,7 @@ def cmd_report(args) -> int:
         _write(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         blocks = [report_markdown(r) for r in suite.reports]
-        blocks.append(_omega26_markdown())
+        blocks.append(_omega26_markdown(suite.omega26))
         lines = ["# oracle bridges", "", "| counter | q | params | count | expected | status |",
                  "|---|---:|---|---:|---:|---|"]
         lines += [f"| {r.counter} | {r.q} | {r.params} | {r.count} | {r.expected} | {r.status} |"
@@ -238,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--q", default="2,3", help="comma-separated field sizes")
     p_oracle.add_argument("--max-colength", type=int, default=MAX_COLENGTH)
     p_oracle.add_argument("--budget", type=int, default=None,
-                          help=f"enumeration budget (pairs), >= {MIN_BUDGET}")
+                          help="size bound on a punctual count, in generator pairs "
+                               f"q^(2 dim) (the engine sweeps q^dim elements), >= {MIN_BUDGET}")
     p_oracle.add_argument("-o", "--output", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except ArityError as exc:
         print(f"ArityError: {exc}", file=sys.stderr)
         return 2
-    except (Unsupported, OutOfRange, NotEffective, UsageError) as exc:
+    except (Unsupported, OutOfRange, NotEffective, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Brute-force certification of the polynomial atoms over small finite fields.
 
-The counting kernels live in a compiled extension when available, with a
-pure-Python fallback selected at import; see
-:func:`~motivecount.oracle.counting.active_backend`.
+Punctual ideals are enumerated by one pure-Python engine
+(:mod:`~motivecount.oracle._pure`); Grassmannians by their reduced echelon
+forms (:func:`~motivecount.oracle.ideals.reduced_echelon_forms`).
 """
 
 from .algebra import CURVES, NODE, RIBBON, LocalAlgebra, truncated_algebra
@@ -11,7 +11,6 @@ from .counting import (
     CSV_HEADER,
     DEFAULT_BUDGET,
     FqCountResult,
-    active_backend,
     bridge_check,
     bridge_check_all,
     bridge_names,
@@ -23,17 +22,16 @@ from .counting import (
     default_budget,
     punctual_ideal_records,
     punctual_pair_space,
-    reduced_echelon_forms,
     results_to_csv,
 )
 from .gf import SmallField, projective_plane_count, small_field
-from .ideals import IdealRecord, enumerate_closed_subspaces
+from .ideals import IdealRecord, enumerate_closed_subspaces, reduced_echelon_forms
 from .tables import MAX_COLENGTH, TableRow, expected_class, expected_count, rows_for, table_rows
 
 __all__ = [
     "BudgetExceeded", "CSV_HEADER", "CURVES", "DEFAULT_BUDGET", "FqCountResult",
     "IdealRecord", "LocalAlgebra", "MAX_COLENGTH", "NODE", "RIBBON",
-    "SmallField", "TableRow", "active_backend", "bridge_check",
+    "SmallField", "TableRow", "bridge_check",
     "bridge_check_all", "bridge_names", "count_grassmannian", "count_hilb2_p2",
     "count_punctual_ideals", "count_punctual_total_vs_table", "count_sym2_p2",
     "default_budget", "enumerate_closed_subspaces", "expected_class",

@@ -1,12 +1,12 @@
-"""Pure-Python enumeration backend.
+"""The punctual-ideal enumeration engine.
 
-The compiled kernel walks every ordered generator pair directly.  Walking
-q^(2 dim) pairs is out of reach for interpreted code, so this backend uses
-the identity (f, g) = (f) + (g): the ideal generated by a pair is the
-subspace sum of the two principal ideals.  It sweeps every element once,
-records the distinct principal ideals, and then forms all pairwise sums,
-which visits the same set of ideals as the pair loop (the kernel and this
-module are cross-checked against each other in the tests).
+The engine finds the ideals generated by at most two elements.  Rather than
+walk the q^(2 dim) generator pairs, it uses the identity (f, g) = (f) + (g):
+the ideal generated by a pair is the subspace sum of the two principal
+ideals.  It sweeps every element once, records the distinct principal
+ideals, and then forms all pairwise sums.  That two generators reach every
+ideal is certified in the tests against the exhaustive sweep of
+multiplication-closed subspaces in :mod:`.ideals`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Public counting operations and the class-vs-count bridge checks.
 
-Backend selection: the compiled kernel (`_fastcount`, built from Cython) is
-used when importable, the pure-Python engine otherwise; set the environment
-variable ``MOTIVECOUNT_BACKEND`` to ``fast`` or ``pure`` to force one.  Both
-backends return identical canonical record lists.
+Punctual ideals are enumerated by the engine in :mod:`._pure`, which sweeps
+the q^dim elements of the truncated germ algebra once and sums the distinct
+principal ideals pairwise.
 
-Budgets: the enumeration budget bounds the ordered generator-pair space
-q^(2 dim) of a punctual count.  The default admits every tabulated case at
+Budgets: the enumeration budget is a size bound on a punctual count,
+expressed as its ordered generator-pair count q^(2 dim); the engine itself
+sweeps only q^dim elements.  The default admits every tabulated case at
 q = 2 up to colength 6 and q = 3 up to colength 4; larger requests raise
 :class:`BudgetExceeded`, which callers report as skipped rather than failed.
 The budget can be overridden per call, or globally via ``MOTIVIC_BUDGET``.
@@ -19,19 +19,13 @@ import io
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from . import _pure
-from .algebra import CURVES, LocalAlgebra, truncated_algebra
+from .algebra import CURVES, truncated_algebra
 from .gf import projective_plane_count
-from .ideals import IdealRecord
+from .ideals import IdealRecord, reduced_echelon_forms
 from .tables import MAX_COLENGTH, expected_class
-
-try:
-    from . import _fastcount
-except ImportError:  # extension not built; pure backend carries everything
-    _fastcount = None
 
 DEFAULT_BUDGET = 2 ** 29
 MIN_BUDGET = 10 ** 4
@@ -51,22 +45,6 @@ def default_budget() -> int:
     return value
 
 
-def active_backend() -> str:
-    forced = os.environ.get("MOTIVECOUNT_BACKEND")
-    if forced in ("fast", "pure"):
-        return forced if (forced == "pure" or _fastcount is not None) else "pure"
-    if forced is not None:
-        raise ValueError(f"MOTIVECOUNT_BACKEND must be 'fast' or 'pure', got {forced!r}")
-    return "fast" if _fastcount is not None else "pure"
-
-
-def _enumerate(alg: LocalAlgebra, q: int, colength: int, backend: str | None = None):
-    backend = backend or active_backend()
-    if backend == "fast" and _fastcount is not None:
-        return _fastcount.enumerate_ideals(q, alg.dim, list(alg.mul_x), list(alg.mul_y), colength)
-    return _pure.enumerate_ideals(alg, q, colength)
-
-
 # -- punctual ideals -----------------------------------------------------------
 
 def _check_punctual_args(curve: str, colength: int, q: int) -> None:
@@ -79,13 +57,14 @@ def _check_punctual_args(curve: str, colength: int, q: int) -> None:
 
 
 def punctual_pair_space(colength: int, q: int) -> int:
-    """Number of ordered generator pairs the enumeration sweeps."""
+    """Size of a punctual count as the budget measures it: the number of
+    ordered generator pairs, q^(2 dim) with dim = 2 colength + 1.  This is a
+    size bound, not the work done; the engine sweeps q^dim elements."""
     return q ** (2 * (2 * colength + 1))
 
 
 def punctual_ideal_records(curve: str, colength: int, q: int,
-                           budget: int | None = None,
-                           backend: str | None = None) -> tuple[IdealRecord, ...]:
+                           budget: int | None = None) -> tuple[IdealRecord, ...]:
     """Canonical records of all ideals of the given colength, validated to
     be closed under multiplication."""
     _check_punctual_args(curve, colength, q)
@@ -96,34 +75,17 @@ def punctual_ideal_records(curve: str, colength: int, q: int,
             f"{curve} colength {colength} at q={q} needs {space} generator pairs "
             f"(budget {limit})")
     alg = truncated_algebra(curve, colength)
-    records = _enumerate(alg, q, colength, backend)
+    records = _pure.enumerate_ideals(alg, q, colength)
     return tuple(IdealRecord.from_rows(basis, alg, q) for basis in records)
 
 
 def count_punctual_ideals(curve: str, colength: int, q: int,
-                          budget: int | None = None,
-                          backend: str | None = None) -> int:
+                          budget: int | None = None) -> int:
     """Number of ideals of the given colength in the truncated germ algebra."""
-    return len(punctual_ideal_records(curve, colength, q, budget, backend))
+    return len(punctual_ideal_records(curve, colength, q, budget))
 
 
 # -- grassmannian --------------------------------------------------------------
-
-def reduced_echelon_forms(k: int, n: int, q: int):
-    """Yield every reduced echelon form of a k x n matrix of rank k over
-    F_q, one per k-dimensional subspace."""
-    for pivots in combinations(range(n), k):
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivots]
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for assign in product(range(q), repeat=len(free)):
-            mat = [row[:] for row in base]
-            for (i, j), val in zip(free, assign):
-                mat[i][j] = val
-            yield tuple(tuple(row) for row in mat)
-
 
 def count_grassmannian(k: int, n: int, q: int) -> int:
     """Number of k-dimensional subspaces of n-space over F_q, counted by

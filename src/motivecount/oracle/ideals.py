@@ -72,6 +72,29 @@ def rref(rows: list[Row], q: int) -> tuple[Vector, ...]:
     return tuple(tuple(r) for r in mat)
 
 
+def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
+    """Whether the span of an echelon basis, rows sorted by pivot, is closed
+    under multiplication by x and by y, i.e. is an ideal."""
+    return all(echelon_reduce(rows, vec_mul_monomial(v, mul_map, alg.dim), q) is None
+               for _, v in rows for mul_map in (alg.mul_x, alg.mul_y))
+
+
+def reduced_echelon_forms(k: int, n: int, q: int):
+    """Yield every reduced echelon form of a k x n matrix of rank k over
+    F_q, one per k-dimensional subspace."""
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        base = [[0] * n for _ in range(k)]
+        for i, p in enumerate(pivots):
+            base[i][p] = 1
+        for assign in product(range(q), repeat=len(free)):
+            mat = [row[:] for row in base]
+            for (i, j), val in zip(free, assign):
+                mat[i][j] = val
+            yield tuple(tuple(row) for row in mat)
+
+
 @dataclass(frozen=True)
 class IdealRecord:
     """Canonical form of an ideal: reduced echelon basis plus colength."""
@@ -81,14 +104,11 @@ class IdealRecord:
 
     @classmethod
     def from_rows(cls, basis: tuple[Vector, ...], alg: LocalAlgebra, q: int) -> "IdealRecord":
-        """Wrap kernel output, checking the ideal property: the spanned
-        subspace must be closed under multiplication by x and by y."""
+        """Wrap an enumerated echelon basis, checking the ideal property: the
+        spanned subspace must be closed under multiplication by x and by y."""
         rows = [(next(i for i, c in enumerate(v) if c), v) for v in basis]
-        for _, v in rows:
-            for mul_map in (alg.mul_x, alg.mul_y):
-                shifted = vec_mul_monomial(v, mul_map, alg.dim)
-                if echelon_reduce(rows, shifted, q) is not None:
-                    raise ValueError(f"basis not closed under multiplication: {basis}")
+        if not is_closed(rows, alg, q):
+            raise ValueError(f"basis not closed under multiplication: {basis}")
         return cls(basis=rref(rows, q), colength=alg.dim - len(basis))
 
     @classmethod
@@ -118,38 +138,17 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     found: set[tuple[Vector, ...]] = set()
     if extra_dim < 0:
         return found
-    m = len(free_region)
-    for pivots in combinations(range(m), extra_dim):
-        free_cells = [(ri, col) for ri, pv in enumerate(pivots)
-                      for col in range(pv + 1, m) if col not in pivots]
-        for assign in product(range(q), repeat=len(free_cells)):
-            vectors = []
-            for ri, pv in enumerate(pivots):
-                v = [0] * alg.dim
-                v[free_region[pv]] = 1
-                vectors.append(v)
-            for (ri, col), val in zip(free_cells, assign):
-                vectors[ri][free_region[col]] = val
-            for i in forced:
-                v = [0] * alg.dim
-                v[i] = 1
-                vectors.append(v)
-            rows: list[Row] = []
-            for v in vectors:
-                new = echelon_reduce(rows, tuple(v), q)
-                if new is not None:
-                    rows.append(new)
-                    rows.sort()
-            if alg.dim - len(rows) != colength:
-                continue
-            closed = True
-            for _, v in rows:
-                for mul_map in (alg.mul_x, alg.mul_y):
-                    if echelon_reduce(rows, vec_mul_monomial(v, mul_map, alg.dim), q) is not None:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                found.add(rref(rows, q))
+    units = [(i, tuple(1 if j == i else 0 for j in range(alg.dim))) for i in forced]
+    for form in reduced_echelon_forms(extra_dim, len(free_region), q):
+        # the form's rows and the forced unit rows have disjoint supports,
+        # so together they are already a reduced echelon basis
+        rows = list(units)
+        for row in form:
+            v = [0] * alg.dim
+            for col, c in zip(free_region, row):
+                v[col] = c
+            rows.append((free_region[row.index(1)], tuple(v)))
+        rows.sort()
+        if is_closed(rows, alg, q):
+            found.add(rref(rows, q))
     return found

@@ -1,7 +1,6 @@
 """Make the package importable from a bare checkout.
 
-Prefer the installed package (which may carry the compiled kernel); fall
-back to the source tree, where the pure-Python backend is selected.
+Prefer the installed package; fall back to the source tree.
 """
 
 import sys

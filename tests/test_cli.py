@@ -106,6 +106,13 @@ def test_verify_output_file(tmp_path, capsys):
     assert len(doc["reports"]) == 6
 
 
+def test_unwritable_output_file(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--target", "m11",
+                         "-o", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_oracle_gr(capsys):
     code, out, _ = run(capsys, "oracle", "--check", "gr", "--q", "2")
     assert code == 0
