@@ -9,7 +9,6 @@ from .algebra import CURVES, NODE, RIBBON, LocalAlgebra, truncated_algebra
 from .counting import (
     BudgetExceeded,
     CSV_HEADER,
-    DEFAULT_BUDGET,
     FqCountResult,
     bridge_check,
     bridge_check_all,
@@ -19,9 +18,7 @@ from .counting import (
     count_punctual_ideals,
     count_punctual_total_vs_table,
     count_sym2_p2,
-    default_budget,
     punctual_ideal_records,
-    punctual_pair_space,
     results_to_csv,
 )
 from .gf import SmallField, projective_plane_count, small_field
@@ -29,13 +26,13 @@ from .ideals import IdealRecord, enumerate_closed_subspaces, reduced_echelon_for
 from .tables import MAX_COLENGTH, TableRow, expected_class, expected_count, rows_for, table_rows
 
 __all__ = [
-    "BudgetExceeded", "CSV_HEADER", "CURVES", "DEFAULT_BUDGET", "FqCountResult",
+    "BudgetExceeded", "CSV_HEADER", "CURVES", "FqCountResult",
     "IdealRecord", "LocalAlgebra", "MAX_COLENGTH", "NODE", "RIBBON",
     "SmallField", "TableRow", "bridge_check",
     "bridge_check_all", "bridge_names", "count_grassmannian", "count_hilb2_p2",
     "count_punctual_ideals", "count_punctual_total_vs_table", "count_sym2_p2",
-    "default_budget", "enumerate_closed_subspaces", "expected_class",
+    "enumerate_closed_subspaces", "expected_class",
     "expected_count", "projective_plane_count", "punctual_ideal_records",
-    "punctual_pair_space", "reduced_echelon_forms", "results_to_csv",
+    "reduced_echelon_forms", "results_to_csv",
     "rows_for", "small_field", "table_rows", "truncated_algebra",
 ]

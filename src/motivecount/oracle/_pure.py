@@ -33,14 +33,10 @@ def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[Vector, ...], li
     return out
 
 
-def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int,
-                     shuffle=None) -> list[tuple[Vector, ...]]:
+def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int) -> list[tuple[Vector, ...]]:
     """Canonical bases of all two-generated ideals of the given colength,
-    sorted.  ``shuffle`` (a random.Random) only permutes the sweep order,
-    for order-independence tests; the result is identical either way."""
+    sorted."""
     principals = list(principal_closures(alg, q).values())
-    if shuffle is not None:
-        shuffle.shuffle(principals)
     found: set[tuple[Vector, ...]] = set()
     for rows_f in principals:
         if alg.dim - len(rows_f) == colength:

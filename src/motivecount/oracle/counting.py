@@ -4,19 +4,16 @@ Punctual ideals are enumerated by the engine in :mod:`._pure`, which sweeps
 the q^dim elements of the truncated germ algebra once and sums the distinct
 principal ideals pairwise.
 
-Budgets: the enumeration budget is a size bound on a punctual count,
-expressed as its ordered generator-pair count q^(2 dim); the engine itself
-sweeps only q^dim elements.  The default admits every tabulated case at
-q = 2 up to colength 6 and q = 3 up to colength 4; larger requests raise
-:class:`BudgetExceeded`, which callers report as skipped rather than failed.
-The budget can be overridden per call, or globally via ``MOTIVIC_BUDGET``.
+A punctual count whose sweep would exceed :data:`MAX_SWEEP` elements raises
+:class:`BudgetExceeded`, which callers report as a skipped row with its
+reason, never as a failure.  The limit admits every tabulated cell at q = 2
+(colength up to 6) and at q = 3 up to colength 4.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from dataclasses import dataclass
 
@@ -27,22 +24,14 @@ from .gf import projective_plane_count
 from .ideals import IdealRecord, reduced_echelon_forms
 from .tables import MAX_COLENGTH, expected_class
 
-DEFAULT_BUDGET = 2 ** 29
-MIN_BUDGET = 10 ** 4
+#: most elements one punctual count may sweep: q=2 colength 6 sweeps 2^13 and
+#: q=3 colength 4 sweeps 3^9; q=3 colength 5 would sweep 3^11, which takes
+#: seconds per cell in this engine
+MAX_SWEEP = 3 ** 9
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration request larger than the configured budget."""
-
-
-def default_budget() -> int:
-    raw = os.environ.get("MOTIVIC_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    value = int(raw)
-    if value < MIN_BUDGET:
-        raise ValueError(f"MOTIVIC_BUDGET must be >= {MIN_BUDGET}, got {value}")
-    return value
+    """Punctual count whose element sweep, q^dim, exceeds :data:`MAX_SWEEP`."""
 
 
 # -- punctual ideals -----------------------------------------------------------
@@ -56,33 +45,23 @@ def _check_punctual_args(curve: str, colength: int, q: int) -> None:
         raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
 
 
-def punctual_pair_space(colength: int, q: int) -> int:
-    """Size of a punctual count as the budget measures it: the number of
-    ordered generator pairs, q^(2 dim) with dim = 2 colength + 1.  This is a
-    size bound, not the work done; the engine sweeps q^dim elements."""
-    return q ** (2 * (2 * colength + 1))
-
-
-def punctual_ideal_records(curve: str, colength: int, q: int,
-                           budget: int | None = None) -> tuple[IdealRecord, ...]:
+def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealRecord, ...]:
     """Canonical records of all ideals of the given colength, validated to
     be closed under multiplication."""
     _check_punctual_args(curve, colength, q)
-    limit = budget if budget is not None else default_budget()
-    space = punctual_pair_space(colength, q)
-    if space > limit:
-        raise BudgetExceeded(
-            f"{curve} colength {colength} at q={q} needs {space} generator pairs "
-            f"(budget {limit})")
     alg = truncated_algebra(curve, colength)
+    sweep = q ** alg.dim
+    if sweep > MAX_SWEEP:
+        raise BudgetExceeded(
+            f"{curve} colength {colength} at q={q}: sweeps {sweep} elements "
+            f"(at most {MAX_SWEEP})")
     records = _pure.enumerate_ideals(alg, q, colength)
     return tuple(IdealRecord.from_rows(basis, alg, q) for basis in records)
 
 
-def count_punctual_ideals(curve: str, colength: int, q: int,
-                          budget: int | None = None) -> int:
+def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
     """Number of ideals of the given colength in the truncated germ algebra."""
-    return len(punctual_ideal_records(curve, colength, q, budget))
+    return len(punctual_ideal_records(curve, colength, q))
 
 
 # -- grassmannian --------------------------------------------------------------
@@ -134,6 +113,7 @@ class FqCountResult:
     expected: int
     millis: float
     skipped: bool = False
+    reason: str = ""
 
     @property
     def passed(self) -> bool:
@@ -164,21 +144,21 @@ def _timed(counter: str, q: int, params: str, expected: int, fn) -> FqCountResul
     start = time.perf_counter()
     try:
         count = fn()
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
         millis = (time.perf_counter() - start) * 1000.0
-        return FqCountResult(counter, q, params, None, expected, millis, skipped=True)
+        return FqCountResult(counter, q, params, None, expected, millis,
+                             skipped=True, reason=str(exc))
     millis = (time.perf_counter() - start) * 1000.0
     return FqCountResult(counter, q, params, count, expected, millis)
 
 
-def count_punctual_total_vs_table(curve: str, colength: int, q: int,
-                                  budget: int | None = None) -> FqCountResult:
+def count_punctual_total_vs_table(curve: str, colength: int, q: int) -> FqCountResult:
     """Pair the enumerated ideal count with the tabulated row-sum value."""
     _check_punctual_args(curve, colength, q)
     expected = expected_class(curve, colength).evaluate(q)
     return _timed(
         "punctual", q, f"{curve}:{colength}", expected,
-        lambda: count_punctual_ideals(curve, colength, q, budget))
+        lambda: count_punctual_ideals(curve, colength, q))
 
 
 GRASSMANNIAN_BRIDGES = ((1, 2), (1, 3), (2, 4), (2, 5), (2, 6))
@@ -191,22 +171,22 @@ def _bridge_entries():
     entries = {}
     for k, n in GRASSMANNIAN_BRIDGES:
         entries[f"gr({k},{n})"] = (
-            lambda q, budget, k=k, n=n: count_grassmannian(k, n, q),
+            lambda q, k=k, n=n: count_grassmannian(k, n, q),
             lambda q, k=k, n=n: grassmannian(k, n).evaluate(q),
             f"({k},{n})", "gr")
     entries["hilb1"] = (
-        lambda q, budget: projective_plane_count(q),
+        projective_plane_count,
         lambda q: hilb_p2(1).evaluate(q), "(1)", "hilb1")
     entries["hilb2"] = (
-        lambda q, budget: count_hilb2_p2(q),
+        count_hilb2_p2,
         lambda q: hilb_p2(2).evaluate(q), "(2)", "hilb2")
     entries["sym2p2"] = (
-        lambda q, budget: count_sym2_p2(q),
+        count_sym2_p2,
         lambda q: projective(2).sym_power(2).evaluate(q), "(2)", "sym2p2")
     for curve in CURVES:
         for c in range(1, PUNCTUAL_BRIDGE_MAX_COLENGTH + 1):
             entries[f"punctual:{curve}:{c}"] = (
-                lambda q, budget, curve=curve, c=c: count_punctual_ideals(curve, c, q, budget),
+                lambda q, curve=curve, c=c: count_punctual_ideals(curve, c, q),
                 lambda q, curve=curve, c=c: expected_class(curve, c).evaluate(q),
                 f"{curve}:{c}", "punctual")
     return entries
@@ -216,7 +196,7 @@ def bridge_names() -> tuple[str, ...]:
     return tuple(_bridge_entries())
 
 
-def bridge_check(name: str, qs, budget: int | None = None) -> list[FqCountResult]:
+def bridge_check(name: str, qs) -> list[FqCountResult]:
     """Compare one registered counter against its class at each q."""
     entries = _bridge_entries()
     if name not in entries:
@@ -226,13 +206,13 @@ def bridge_check(name: str, qs, budget: int | None = None) -> list[FqCountResult
     for q in qs:
         expected = class_eval(q)
         results.append(_timed(kind, q, params, expected,
-                              lambda q=q: counter(q, budget)))
+                              lambda q=q: counter(q)))
     return results
 
 
-def bridge_check_all(qs, budget: int | None = None) -> list[FqCountResult]:
+def bridge_check_all(qs) -> list[FqCountResult]:
     """Every registered bridge at every q; mismatches are data, not errors."""
     results = []
     for name in bridge_names():
-        results.extend(bridge_check(name, qs, budget))
+        results.extend(bridge_check(name, qs))
     return results

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,17 @@ def test_eval_arity_error(capsys):
     code, _, err = run(capsys, "eval", "Gr(5,2)")
     assert code == 2
     assert "ArityError" in err
+
+
+@pytest.mark.parametrize("expr", [
+    "-".join(["1"] * 2000),
+    "(" * 300 + "1" + ")" * 300,
+    "Sym1(" * 300 + "P1" + ")" * 300,
+], ids=["difference-chain", "parentheses", "sym1"])
+def test_eval_nested_too_deeply(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == ""
+    assert err == "error: expression nested too deeply\n"
 
 
 def test_eval_unsupported(capsys):
@@ -149,26 +162,22 @@ def test_oracle_punctual_reports_known_defect(capsys):
 
 
 def test_oracle_budget_skip(capsys):
-    code, out, _ = run(capsys, "oracle", "--check", "punctual", "--q", "3",
-                       "--max-colength", "5", "--budget", "10000")
-    assert code == 0  # rows over budget are skipped, not failed
+    code, out, err = run(capsys, "oracle", "--check", "punctual", "--q", "3",
+                         "--max-colength", "5")
+    assert code == 0  # cells over the sweep limit are skipped, not failed
     rows = out.splitlines()[1:]
-    # colength 1 fits in the budget (3^6 ordered pairs); the rest skip
-    assert sum(",skip," in row for row in rows) == 8
-    assert sum(",pass," in row for row in rows) == 2
-    assert not any(",fail," in row for row in rows)
+    # colengths 1-4 sweep at most 3^9 elements; colength 5 (3^11) skips
+    assert sum(",skip," in row for row in rows) == 2
+    assert sum(",pass," in row for row in rows) == 8
+    assert "punctual,3,node:5,,13,skip," in out
+    assert "skip node colength 5 at q=3: sweeps 177147 elements (at most 19683)\n" in err
+    assert "skip ribbon colength 5 at q=3: sweeps 177147 elements (at most 19683)\n" in err
 
 
 def test_oracle_bad_q(capsys):
     code, _, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
     assert code == 2
     assert "error" in err
-
-
-def test_oracle_bad_budget(capsys):
-    code, _, err = run(capsys, "oracle", "--check", "punctual", "--budget", "10")
-    assert code == 2
-    assert "budget" in err
 
 
 def test_report_json(capsys):
@@ -179,3 +188,18 @@ def test_report_json(capsys):
     assert len(doc["reports"]) == 6
     assert doc["bridges"]
     assert all(b["status"] == "pass" for b in doc["bridges"])
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("motivecount ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_examples_run(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # for -o report.json
+    code, _, _ = run(capsys, *shlex.split(line)[1:])
+    # the documented ribbon colength-5 row fails at q=2
+    expected = 1 if line == "motivecount oracle --check punctual --q 2 --max-colength 6" else 0
+    assert code == expected

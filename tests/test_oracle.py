@@ -22,7 +22,6 @@ from motivecount.oracle import (
     expected_count,
     projective_plane_count,
     punctual_ideal_records,
-    punctual_pair_space,
     reduced_echelon_forms,
     results_to_csv,
     rows_for,
@@ -30,6 +29,7 @@ from motivecount.oracle import (
     truncated_algebra,
 )
 from motivecount.oracle import _pure
+from motivecount.oracle.counting import MAX_SWEEP
 
 
 # -- fields --------------------------------------------------------------------
@@ -204,29 +204,31 @@ def test_from_rows_rejects_non_ideals():
         IdealRecord.from_rows((x_vec,), alg, 2)
 
 
-def test_order_independence():
+def test_order_independence(monkeypatch):
     alg = truncated_algebra("node", 3)
     baseline = _pure.enumerate_ideals(alg, 2, 3)
+    sweep = _pure.principal_closures
     for seed in range(5):
-        shuffled = _pure.enumerate_ideals(alg, 2, 3, shuffle=random.Random(seed))
-        assert shuffled == baseline
+        def shuffled(alg, q, rng=random.Random(seed)):
+            items = list(sweep(alg, q).items())
+            rng.shuffle(items)
+            return dict(items)
+        monkeypatch.setattr(_pure, "principal_closures", shuffled)
+        assert _pure.enumerate_ideals(alg, 2, 3) == baseline
 
 
-# -- budgets and results ----------------------------------------------------------
+# -- sweep limit and results -------------------------------------------------------
 
-def test_budget_exceeded():
-    assert punctual_pair_space(6, 2) == 2 ** 26
-    with pytest.raises(BudgetExceeded):
-        count_punctual_ideals("ribbon", 6, 2, budget=10 ** 4)
-
-
-def test_budget_env(monkeypatch):
-    monkeypatch.setenv("MOTIVIC_BUDGET", "10000")
-    with pytest.raises(BudgetExceeded):
-        count_punctual_ideals("ribbon", 6, 2)
-    monkeypatch.setenv("MOTIVIC_BUDGET", "10")
-    with pytest.raises(ValueError):
-        count_punctual_ideals("ribbon", 6, 2)
+def test_budget_exceeded(monkeypatch):
+    # the four tabulated cells over the limit: q=3 colength 5 sweeps 3^11
+    # elements and colength 6 sweeps 3^13; each raises before any sweep
+    monkeypatch.setattr(_pure, "principal_closures", None)
+    for curve in CURVES:
+        for colength, sweep in ((5, 3 ** 11), (6, 3 ** 13)):
+            assert 3 ** truncated_algebra(curve, colength).dim == sweep > MAX_SWEEP
+            with pytest.raises(BudgetExceeded, match=rf"^{curve} colength {colength} at q=3: "
+                                                     rf"sweeps {sweep} elements \(at most 19683\)$"):
+                count_punctual_ideals(curve, colength, 3)
 
 
 def test_unsupported_punctual_parameters():
@@ -245,18 +247,19 @@ def test_total_vs_table_rows():
     bad = count_punctual_total_vs_table("ribbon", 5, 2)
     assert not bad.passed and bad.status == "fail"
     assert (bad.count, bad.expected) == (7, 9)
-    skipped = count_punctual_total_vs_table("node", 6, 2, budget=10 ** 4)
+    skipped = count_punctual_total_vs_table("node", 5, 3)
     assert skipped.skipped and skipped.status == "skip" and skipped.count is None
+    assert skipped.reason == "node colength 5 at q=3: sweeps 177147 elements (at most 19683)"
 
 
 def test_results_csv():
     rows = [count_punctual_total_vs_table("node", 1, 2),
-            count_punctual_total_vs_table("node", 6, 2, budget=10 ** 4)]
+            count_punctual_total_vs_table("node", 5, 3)]
     text = results_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "counter,q,params,count,expected,pass,millis"
     assert lines[1].startswith("punctual,2,node:1,1,1,pass,")
-    assert lines[2].startswith("punctual,2,node:6,,11,skip,")
+    assert lines[2].startswith("punctual,3,node:5,,13,skip,")
 
 
 def test_bridges():
