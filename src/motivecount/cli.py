@@ -17,14 +17,14 @@ from .atoms import OutOfRange, Unsupported
 from .dsl import ArityError, ParseError, evaluate
 from .motive import NotEffective
 from .oracle import (
+    BRIDGES,
     CURVES,
     MAX_COLENGTH,
     bridge_check_all,
-    bridge_check,
     count_punctual_total_vs_table,
     results_to_csv,
+    run_bridge,
 )
-from .oracle.counting import GRASSMANNIAN_BRIDGES
 from .strata import (
     TARGETS,
     ConsistencyReport,
@@ -90,9 +90,7 @@ def cmd_verify(args) -> int:
         if args.format == "json":
             _write(json.dumps(suite_to_dict(suite), indent=2) + "\n", args.output)
         elif args.format == "md":
-            blocks = [report_markdown(r) for r in suite.reports]
-            blocks.append(_omega26_markdown(suite.omega26))
-            _write("\n".join(blocks), args.output)
+            _write(_suite_markdown(suite), args.output)
         elif args.format == "csv":
             lines = ["target,i,b_2i"]
             for r in suite.reports:
@@ -105,12 +103,14 @@ def cmd_verify(args) -> int:
         return 0 if suite.passed else 1
 
     if args.target == "omega26":
-        _, consistency = omega26_assembled()
+        consistency = omega26_assembled()
         if args.format == "json":
             doc = {"schema": 1, "omega26_consistency": consistency_to_dict(consistency)}
             _write(json.dumps(doc, indent=2) + "\n", args.output)
         elif args.format == "md":
             _write(_omega26_markdown(consistency), args.output)
+        elif args.format == "csv":
+            _write(betti_csv(consistency.assembled), args.output)
         else:
             _write(_omega26_text(consistency), args.output)
         # informational: the comparison never alone forces a failure
@@ -127,6 +127,12 @@ def cmd_verify(args) -> int:
     else:
         _write(report_text(report), args.output)
     return 0 if report.passed else 1
+
+
+def _suite_markdown(suite) -> str:
+    blocks = [report_markdown(r) for r in suite.reports]
+    blocks.append(_omega26_markdown(suite.omega26))
+    return "\n".join(blocks)
 
 
 def _omega26_markdown(c: ConsistencyReport) -> str:
@@ -155,23 +161,21 @@ def _omega26_text(c: ConsistencyReport) -> str:
 
 def cmd_oracle(args) -> int:
     qs = _parse_qlist(args.q)
-    results = []
-    if args.check == "gr":
-        for k, n in GRASSMANNIAN_BRIDGES:
-            results += bridge_check(f"gr({k},{n})", qs)
-    elif args.check == "hilb2":
-        results += bridge_check("hilb2", qs)
-    elif args.check == "punctual":
+    if args.check == "punctual":
         maxc = args.max_colength
         if not 1 <= maxc <= MAX_COLENGTH:
             raise UsageError(f"max-colength must be in 1..{MAX_COLENGTH}")
+        results = []
         for curve in CURVES:
             for c in range(1, maxc + 1):
                 for q in qs:
                     print(f"counting {curve} colength {c} at q={q} ...", file=sys.stderr)
                     results.append(count_punctual_total_vs_table(curve, c, q))
-    else:  # bridges
-        results += bridge_check_all(qs)
+    elif args.check == "bridges":
+        results = bridge_check_all(qs)
+    else:  # one counter's bridges: gr or hilb2
+        results = [run_bridge(b, q) for b in BRIDGES.values() if b.counter == args.check
+                   for q in qs]
     for r in results:
         if r.skipped:
             print(f"skip {r.reason}", file=sys.stderr)
@@ -191,14 +195,11 @@ def cmd_report(args) -> int:
         ]
         _write(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        blocks = [report_markdown(r) for r in suite.reports]
-        blocks.append(_omega26_markdown(suite.omega26))
         lines = ["# oracle bridges", "", "| counter | q | params | count | expected | status |",
                  "|---|---:|---|---:|---:|---|"]
         lines += [f"| {r.counter} | {r.q} | {r.params} | {r.count} | {r.expected} | {r.status} |"
                   for r in bridges]
-        blocks.append("\n".join(lines) + "\n")
-        _write("\n".join(blocks), args.output)
+        _write(_suite_markdown(suite) + "\n" + "\n".join(lines) + "\n", args.output)
     ok = suite.passed and all(r.passed or r.skipped for r in bridges)
     return 0 if ok else 1
 

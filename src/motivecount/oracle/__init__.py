@@ -7,12 +7,12 @@ forms (:func:`~motivecount.oracle.ideals.reduced_echelon_forms`).
 
 from .algebra import CURVES, NODE, RIBBON, LocalAlgebra, truncated_algebra
 from .counting import (
+    BRIDGES,
     BudgetExceeded,
     CSV_HEADER,
     FqCountResult,
     bridge_check,
     bridge_check_all,
-    bridge_names,
     count_grassmannian,
     count_hilb2_p2,
     count_punctual_ideals,
@@ -20,19 +20,20 @@ from .counting import (
     count_sym2_p2,
     punctual_ideal_records,
     results_to_csv,
+    run_bridge,
 )
-from .gf import SmallField, projective_plane_count, small_field
+from .gf import projective_plane_count
 from .ideals import IdealRecord, enumerate_closed_subspaces, reduced_echelon_forms
 from .tables import MAX_COLENGTH, TableRow, expected_class, expected_count, rows_for, table_rows
 
 __all__ = [
-    "BudgetExceeded", "CSV_HEADER", "CURVES", "FqCountResult",
+    "BRIDGES", "BudgetExceeded", "CSV_HEADER", "CURVES", "FqCountResult",
     "IdealRecord", "LocalAlgebra", "MAX_COLENGTH", "NODE", "RIBBON",
-    "SmallField", "TableRow", "bridge_check",
-    "bridge_check_all", "bridge_names", "count_grassmannian", "count_hilb2_p2",
+    "TableRow", "bridge_check",
+    "bridge_check_all", "count_grassmannian", "count_hilb2_p2",
     "count_punctual_ideals", "count_punctual_total_vs_table", "count_sym2_p2",
     "enumerate_closed_subspaces", "expected_class",
     "expected_count", "projective_plane_count", "punctual_ideal_records",
-    "reduced_echelon_forms", "results_to_csv",
-    "rows_for", "small_field", "table_rows", "truncated_algebra",
+    "reduced_echelon_forms", "results_to_csv", "rows_for", "run_bridge",
+    "table_rows", "truncated_algebra",
 ]

@@ -5,9 +5,11 @@ the q^dim elements of the truncated germ algebra once and sums the distinct
 principal ideals pairwise.
 
 A punctual count whose sweep would exceed :data:`MAX_SWEEP` elements raises
-:class:`BudgetExceeded`, which callers report as a skipped row with its
-reason, never as a failure.  The limit admits every tabulated cell at q = 2
-(colength up to 6) and at q = 3 up to colength 4.
+:class:`BudgetExceeded`.  The limit admits every tabulated cell at q = 2
+(colength up to 6) and at q = 3 up to colength 4.  A counter asked for a
+field size it does not support raises :class:`~motivecount.atoms.Unsupported`.
+Every comparison goes through :func:`run_bridge`, which reports both as a
+skipped row with its reason, never as a failure.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
+from ..motive import MotiveClass
 from . import _pure
 from .algebra import CURVES, truncated_algebra
 from .gf import projective_plane_count
@@ -36,19 +41,16 @@ class BudgetExceeded(RuntimeError):
 
 # -- punctual ideals -----------------------------------------------------------
 
-def _check_punctual_args(curve: str, colength: int, q: int) -> None:
-    if curve not in CURVES:
-        raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")
-    if q not in (2, 3):
-        raise Unsupported(f"punctual counting supports q in (2, 3), got {q}")
-    if not 1 <= colength <= MAX_COLENGTH:
-        raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
-
-
 def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealRecord, ...]:
     """Canonical records of all ideals of the given colength, validated to
     be closed under multiplication."""
-    _check_punctual_args(curve, colength, q)
+    if curve not in CURVES:
+        raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")
+    if not 1 <= colength <= MAX_COLENGTH:
+        raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
+    if q not in (2, 3):
+        raise Unsupported(f"{curve} colength {colength} at q={q}: "
+                          f"punctual counting supports q in (2, 3)")
     alg = truncated_algebra(curve, colength)
     sweep = q ** alg.dim
     if sweep > MAX_SWEEP:
@@ -70,7 +72,7 @@ def count_grassmannian(k: int, n: int, q: int) -> int:
     """Number of k-dimensional subspaces of n-space over F_q, counted by
     enumerating reduced echelon forms."""
     if q not in (2, 3, 4):
-        raise Unsupported(f"grassmannian counting supports q in (2, 3, 4), got {q}")
+        raise Unsupported(f"gr({k},{n}) at q={q}: counting supports q in (2, 3, 4)")
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got ({k}, {n})")
     return sum(1 for _ in reduced_echelon_forms(k, n, q))
@@ -83,7 +85,7 @@ def count_hilb2_p2(q: int) -> int:
     of distinct rational points, plus conjugate pairs defined over the
     quadratic extension, plus a tangent direction at each rational point."""
     if q not in (2, 3):
-        raise Unsupported(f"hilb2 counting supports q in (2, 3), got {q}")
+        raise Unsupported(f"hilb2 at q={q}: counting supports q in (2, 3)")
     n1 = projective_plane_count(q)
     n2 = projective_plane_count(q * q)
     return n1 * (n1 - 1) // 2 + (n2 - n1) // 2 + n1 * (q + 1)
@@ -94,13 +96,24 @@ def count_sym2_p2(q: int) -> int:
     (N1^2 + N2) / 2 with N1, N2 the plane's point counts over F_q and its
     quadratic extension."""
     if q not in (2, 3):
-        raise Unsupported(f"sym2 counting supports q in (2, 3), got {q}")
+        raise Unsupported(f"sym2p2 at q={q}: counting supports q in (2, 3)")
     n1 = projective_plane_count(q)
     n2 = projective_plane_count(q * q)
     return (n1 * n1 + n2) // 2
 
 
 # -- results and bridges ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bridge:
+    """A brute-force counter paired with the class it certifies: at each q,
+    ``count(q)`` must equal ``expected()`` evaluated at L = q."""
+
+    counter: str
+    params: str
+    count: Callable[[int], int]
+    expected: Callable[[], MotiveClass]
+
 
 @dataclass(frozen=True)
 class FqCountResult:
@@ -140,79 +153,54 @@ def results_to_csv(results) -> str:
     return buf.getvalue()
 
 
-def _timed(counter: str, q: int, params: str, expected: int, fn) -> FqCountResult:
+def run_bridge(bridge: Bridge, q: int) -> FqCountResult:
+    """Count at q and compare with the class evaluated at L = q.  A count
+    over the sweep limit, or at a q its counter does not support, is a
+    skipped row with its reason."""
+    expected = bridge.expected().evaluate(q)
     start = time.perf_counter()
     try:
-        count = fn()
-    except BudgetExceeded as exc:
-        millis = (time.perf_counter() - start) * 1000.0
-        return FqCountResult(counter, q, params, None, expected, millis,
-                             skipped=True, reason=str(exc))
+        count, reason = bridge.count(q), ""
+    except (BudgetExceeded, Unsupported) as exc:
+        count, reason = None, str(exc)
     millis = (time.perf_counter() - start) * 1000.0
-    return FqCountResult(counter, q, params, count, expected, millis)
+    return FqCountResult(bridge.counter, q, bridge.params, count, expected, millis,
+                         skipped=count is None, reason=reason)
+
+
+def _punctual_bridge(curve: str, colength: int) -> Bridge:
+    return Bridge("punctual", f"{curve}:{colength}",
+                  partial(count_punctual_ideals, curve, colength),
+                  partial(expected_class, curve, colength))
 
 
 def count_punctual_total_vs_table(curve: str, colength: int, q: int) -> FqCountResult:
     """Pair the enumerated ideal count with the tabulated row-sum value."""
-    _check_punctual_args(curve, colength, q)
-    expected = expected_class(curve, colength).evaluate(q)
-    return _timed(
-        "punctual", q, f"{curve}:{colength}", expected,
-        lambda: count_punctual_ideals(curve, colength, q))
+    return run_bridge(_punctual_bridge(curve, colength), q)
 
-
-GRASSMANNIAN_BRIDGES = ((1, 2), (1, 3), (2, 4), (2, 5), (2, 6))
 
 #: colengths cheap enough for the quick bridge sweep at q in {2, 3}
 PUNCTUAL_BRIDGE_MAX_COLENGTH = 4
 
-
-def _bridge_entries():
-    entries = {}
-    for k, n in GRASSMANNIAN_BRIDGES:
-        entries[f"gr({k},{n})"] = (
-            lambda q, k=k, n=n: count_grassmannian(k, n, q),
-            lambda q, k=k, n=n: grassmannian(k, n).evaluate(q),
-            f"({k},{n})", "gr")
-    entries["hilb1"] = (
-        projective_plane_count,
-        lambda q: hilb_p2(1).evaluate(q), "(1)", "hilb1")
-    entries["hilb2"] = (
-        count_hilb2_p2,
-        lambda q: hilb_p2(2).evaluate(q), "(2)", "hilb2")
-    entries["sym2p2"] = (
-        count_sym2_p2,
-        lambda q: projective(2).sym_power(2).evaluate(q), "(2)", "sym2p2")
-    for curve in CURVES:
-        for c in range(1, PUNCTUAL_BRIDGE_MAX_COLENGTH + 1):
-            entries[f"punctual:{curve}:{c}"] = (
-                lambda q, curve=curve, c=c: count_punctual_ideals(curve, c, q),
-                lambda q, curve=curve, c=c: expected_class(curve, c).evaluate(q),
-                f"{curve}:{c}", "punctual")
-    return entries
-
-
-def bridge_names() -> tuple[str, ...]:
-    return tuple(_bridge_entries())
+#: every registered class-vs-count comparison, by name
+BRIDGES = {
+    **{f"gr({k},{n})": Bridge("gr", f"({k},{n})", partial(count_grassmannian, k, n),
+                              partial(grassmannian, k, n))
+       for k, n in ((1, 2), (1, 3), (2, 4), (2, 5), (2, 6))},
+    "hilb1": Bridge("hilb1", "(1)", projective_plane_count, partial(hilb_p2, 1)),
+    "hilb2": Bridge("hilb2", "(2)", count_hilb2_p2, partial(hilb_p2, 2)),
+    "sym2p2": Bridge("sym2p2", "(2)", count_sym2_p2, lambda: projective(2).sym_power(2)),
+    **{f"punctual:{curve}:{c}": _punctual_bridge(curve, c)
+       for curve in CURVES for c in range(1, PUNCTUAL_BRIDGE_MAX_COLENGTH + 1)},
+}
 
 
 def bridge_check(name: str, qs) -> list[FqCountResult]:
     """Compare one registered counter against its class at each q."""
-    entries = _bridge_entries()
-    if name not in entries:
-        raise KeyError(f"no bridge named {name!r}; known: {', '.join(entries)}")
-    counter, class_eval, params, kind = entries[name]
-    results = []
-    for q in qs:
-        expected = class_eval(q)
-        results.append(_timed(kind, q, params, expected,
-                              lambda q=q: counter(q)))
-    return results
+    bridge = BRIDGES[name]
+    return [run_bridge(bridge, q) for q in qs]
 
 
 def bridge_check_all(qs) -> list[FqCountResult]:
     """Every registered bridge at every q; mismatches are data, not errors."""
-    results = []
-    for name in bridge_names():
-        results.extend(bridge_check(name, qs))
-    return results
+    return [run_bridge(bridge, q) for bridge in BRIDGES.values() for q in qs]

@@ -1,99 +1,21 @@
-"""Small finite fields for brute-force point counting.
+"""Point counts of the projective plane over small finite fields.
 
 Supports exactly the orders the oracles need: the prime fields F2, F3 and
-the quadratic extensions F4 = F2[t]/(t^2+t+1), F9 = F3[t]/(t^2+1).
-Elements are encoded as integers 0..q-1 (base-p digit vectors of the
-polynomial coefficients); arithmetic is table-driven.
+their quadratic extensions F4, F9.  Elements are encoded as integers
+0..q-1 with 0 and 1 the field's zero and one; counting projective points
+needs no other arithmetic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
-
-#: order -> (characteristic, extension degree, modulus polynomial coeffs,
-#: lowest degree first, leading 1 implied)
-_FIELDS = {
-    2: (2, 1, ()),
-    3: (3, 1, ()),
-    4: (2, 2, (1, 1)),   # t^2 = t + 1
-    9: (3, 2, (2, 0)),   # t^2 = -1 = 2
-}
-
-
-class SmallField:
-    """Arithmetic in F_q for q in {2, 3, 4, 9}."""
-
-    def __init__(self, q: int):
-        if q not in _FIELDS:
-            raise ValueError(f"field order {q} not supported (need one of {sorted(_FIELDS)})")
-        self.q = q
-        self.p, self.k, reduction = _FIELDS[q]
-        self._mul = [[self._poly_mul(a, b, reduction) for b in range(q)] for a in range(q)]
-        self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-
-    def _digits(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.k)]
-
-    def _undigits(self, ds) -> int:
-        return sum(d * self.p**i for i, d in enumerate(ds))
-
-    def _poly_add(self, a: int, b: int) -> int:
-        return self._undigits((x + y) % self.p for x, y in zip(self._digits(a), self._digits(b)))
-
-    def _poly_mul(self, a: int, b: int, reduction) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod_ = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod_[i + j] = (prod_[i + j] + x * y) % self.p
-        # reduce t^k using the modulus
-        for i in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod_[i]
-            if c:
-                prod_[i] = 0
-                for j, r in enumerate(reduction):
-                    prod_[i - self.k + j] = (prod_[i - self.k + j] + c * r) % self.p
-        return self._undigits(prod_[:self.k])
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
-
-
-@lru_cache(maxsize=None)
-def small_field(q: int) -> SmallField:
-    return SmallField(q)
 
 
 def projective_plane_count(q: int) -> int:
     """Number of points of the projective plane over F_q, counted by
-    enumerating nonzero coordinate triples and keeping the scaled
-    representative whose first nonzero coordinate is 1."""
-    F = small_field(q)
-    count = 0
-    for v in product(F.elements, repeat=3):
-        lead = next((c for c in v if c != 0), None)
-        if lead is None:
-            continue
-        s = F.inv(lead)
-        if tuple(F.mul(s, c) for c in v) == v:
-            count += 1
-    return count
+    enumerating coordinate triples and keeping the scaled representative
+    whose first nonzero coordinate is 1."""
+    if q not in (2, 3, 4, 9):
+        raise ValueError(f"field order {q} not supported (need one of [2, 3, 4, 9])")
+    return sum(1 for v in product(range(q), repeat=3)
+               if next((c for c in v if c), None) == 1)

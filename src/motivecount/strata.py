@@ -181,7 +181,7 @@ class ConsistencyReport:
     matches: bool
 
 
-def omega26_assembled() -> tuple[MotiveClass, ConsistencyReport]:
+def omega26_assembled() -> ConsistencyReport:
     """Rebuild the conic-locus class from its sub-strata.
 
     The union of the coverings splits over the conic type: integral conics
@@ -219,7 +219,7 @@ def omega26_assembled() -> tuple[MotiveClass, ConsistencyReport]:
 
     stated = omega_locus(2, 6)
     difference = assembled - stated
-    report = ConsistencyReport(
+    return ConsistencyReport(
         parts=ordered,
         divisions=tuple(divisions),
         assembled=assembled,
@@ -227,7 +227,6 @@ def omega26_assembled() -> tuple[MotiveClass, ConsistencyReport]:
         difference=difference,
         matches=difference == ZERO,
     )
-    return assembled, report
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,7 @@ class VerificationSuite:
 def verify_all() -> VerificationSuite:
     """Assemble and verify every target, plus the conic-locus diagnostic."""
     reports = tuple(assemble(t) for t in TARGETS)
-    _, consistency = omega26_assembled()
-    return VerificationSuite(reports=reports, omega26=consistency)
+    return VerificationSuite(reports=reports, omega26=omega26_assembled())
 
 
 # -- renderings ----------------------------------------------------------------

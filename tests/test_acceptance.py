@@ -102,7 +102,7 @@ def test_criterion_6_omega26_stated_value():
 
 def test_criterion_7_consistency_report_complete_and_deterministic():
     start = time.perf_counter()
-    assembled, report = omega26_assembled()
+    report = omega26_assembled()
     elapsed = time.perf_counter() - start
     part_ids = [sid for sid, _ in report.parts]
     complete = (
@@ -112,8 +112,8 @@ def test_criterion_7_consistency_report_complete_and_deterministic():
         and all(d.exact is not None for d in report.divisions)
         and report.difference == report.assembled - report.stated
     )
-    assembled2, report2 = omega26_assembled()
-    deterministic = assembled == assembled2 and report == report2
+    report2 = omega26_assembled()
+    deterministic = report.assembled == report2.assembled and report == report2
     ok = complete and deterministic and elapsed < 1.0
     _line(f"criterion 7: consistency report complete and deterministic "
           f"(assembled euler {report.assembled.euler()}, stated 189, "

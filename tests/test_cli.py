@@ -97,6 +97,13 @@ def test_verify_omega26_exit_zero(capsys):
     assert "matches stated value: no" in out
 
 
+def test_verify_omega26_csv(capsys):
+    code, out, _ = run(capsys, "verify", "--target", "omega26", "--format", "csv")
+    assert code == 0
+    betti = [1, 3, 8, 21, 39, 57, 62, 52, 33, 15, 5, 1]  # the assembled class, euler 297
+    assert out.splitlines() == ["i,b_2i"] + [f"{i},{b}" for i, b in enumerate(betti)]
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "--target", "m21", "--format", "csv")
     assert code == 0
@@ -174,13 +181,43 @@ def test_oracle_budget_skip(capsys):
     assert "skip ribbon colength 5 at q=3: sweeps 177147 elements (at most 19683)\n" in err
 
 
+def test_oracle_bridges_unsupported_q_skips(capsys):
+    code, out, err = run(capsys, "oracle", "--check", "bridges", "--q", "2,4")
+    assert code == 0  # cells at a field size their counter lacks are skipped
+    rows = out.splitlines()[1:]
+    assert len(rows) == 32  # 16 bridges x 2 field sizes
+    skips = [row for row in rows if ",skip," in row]
+    assert len(skips) == 10 and all(row.startswith(("hilb2,4,", "sym2p2,4,", "punctual,4,"))
+                                    for row in skips)
+    assert sum(",pass," in row for row in rows) == 22
+    assert 'gr,4,"(2,6)",93093,93093,pass,' in out and "hilb1,4,(1),21,21,pass," in out
+    reasons = [line for line in err.splitlines() if line.startswith("skip ")]
+    assert reasons == [
+        "skip hilb2 at q=4: counting supports q in (2, 3)",
+        "skip sym2p2 at q=4: counting supports q in (2, 3)",
+    ] + [f"skip {curve} colength {c} at q=4: punctual counting supports q in (2, 3)"
+         for curve in ("ribbon", "node") for c in (1, 2, 3, 4)]
+
+
+def test_oracle_punctual_unsupported_q_skips(capsys):
+    code, out, err = run(capsys, "oracle", "--check", "punctual", "--q", "4",
+                         "--max-colength", "2")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == [
+        "punctual,4,ribbon:1,,1,skip", "punctual,4,ribbon:2,,5,skip",
+        "punctual,4,node:1,,1,skip", "punctual,4,node:2,,5,skip"]
+    assert "skip node colength 2 at q=4: punctual counting supports q in (2, 3)\n" in err
+    assert sum(line.startswith("skip ") for line in err.splitlines()) == 4
+
+
 def test_oracle_bad_q(capsys):
     code, _, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
     assert code == 2
     assert "error" in err
 
 
-def test_report_json(capsys):
+def test_report_json(capsys, shared_bridges):
     code, out, _ = run(capsys, "report", "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -197,7 +234,7 @@ def _readme_commands():
 
 
 @pytest.mark.parametrize("line", _readme_commands())
-def test_readme_examples_run(line, tmp_path, monkeypatch, capsys):
+def test_readme_examples_run(line, tmp_path, monkeypatch, capsys, shared_bridges):
     monkeypatch.chdir(tmp_path)  # for -o report.json
     code, _, _ = run(capsys, *shlex.split(line)[1:])
     # the documented ribbon colength-5 row fails at q=2

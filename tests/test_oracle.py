@@ -1,4 +1,4 @@
-"""Finite-field counting: fields, Grassmannians, ideal enumeration, bridges."""
+"""Finite-field counting: plane points, Grassmannians, ideal enumeration, bridges."""
 
 import random
 
@@ -6,12 +6,11 @@ import pytest
 
 from motivecount.atoms import Unsupported, grassmannian, hilb_p2, projective
 from motivecount.oracle import (
+    BRIDGES,
     CURVES,
     BudgetExceeded,
     IdealRecord,
     bridge_check,
-    bridge_check_all,
-    bridge_names,
     count_grassmannian,
     count_hilb2_p2,
     count_punctual_ideals,
@@ -25,44 +24,22 @@ from motivecount.oracle import (
     reduced_echelon_forms,
     results_to_csv,
     rows_for,
-    small_field,
     truncated_algebra,
 )
 from motivecount.oracle import _pure
 from motivecount.oracle.counting import MAX_SWEEP
 
 
-# -- fields --------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_field_axioms_exhaustive(q):
-    F = small_field(q)
-    els = list(F.elements)
-    for a in els:
-        assert F.add(a, 0) == a
-        assert F.mul(a, 1) == a
-        if a:
-            assert F.mul(a, F.inv(a)) == 1
-        for b in els:
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
-            for c in els:
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-                assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
-
-
-def test_field_orders():
-    with pytest.raises(ValueError):
-        small_field(5)
-    assert small_field(4).p == 2
-    assert small_field(9).p == 3
-
+# -- plane point counts ---------------------------------------------------------
 
 def test_projective_plane_counts():
     assert projective_plane_count(2) == 7
     assert projective_plane_count(3) == 13
     assert projective_plane_count(4) == 21
     assert projective_plane_count(9) == 91
+    for q in (1, 5, 8):
+        with pytest.raises(ValueError, match=rf"^field order {q} not supported"):
+            projective_plane_count(q)
 
 
 # -- grassmannians -------------------------------------------------------------
@@ -116,6 +93,8 @@ def test_count_sym2():
     assert count_sym2_p2(2) == (49 + 21) // 2 == 35
     assert count_sym2_p2(3) == (169 + 91) // 2 == 130
     assert count_sym2_p2(2) == projective(2).sym_power(2).evaluate(2)
+    with pytest.raises(Unsupported):
+        count_sym2_p2(4)
 
 
 # -- punctual ideal enumeration --------------------------------------------------
@@ -263,17 +242,17 @@ def test_results_csv():
 
 
 def test_bridges():
-    names = bridge_names()
-    assert "gr(2,6)" in names and "hilb2" in names and "sym2p2" in names
-    assert "punctual:ribbon:4" in names
+    assert "gr(2,6)" in BRIDGES and "hilb2" in BRIDGES and "sym2p2" in BRIDGES
+    assert "punctual:ribbon:4" in BRIDGES and "punctual:ribbon:5" not in BRIDGES
+    assert len(BRIDGES) == 16
     results = bridge_check("gr(2,6)", [2])
     assert len(results) == 1 and results[0].count == 651 and results[0].passed
     with pytest.raises(KeyError):
         bridge_check("gr(9,9)", [2])
 
 
-def test_bridge_check_all_passes():
-    results = bridge_check_all([2, 3])
+def test_bridge_check_all_passes(bridges_q23):
+    results = bridges_q23
     assert all(r.passed for r in results)
     kinds = {r.counter for r in results}
     assert kinds == {"gr", "hilb1", "hilb2", "sym2p2", "punctual"}

@@ -105,8 +105,7 @@ def test_strata_for_unknown_target():
 
 
 def test_omega26_consistency_frozen_values():
-    assembled, report = omega26_assembled()
-    assert assembled == report.assembled
+    report = omega26_assembled()
     by_n = {d.n: d for d in report.divisions}
     assert set(by_n) == {0, 1, 2}
     assert all(d.exact for d in report.divisions)
@@ -128,7 +127,7 @@ def test_omega26_consistency_frozen_values():
 
 
 def test_omega26_part_inventory():
-    _, report = omega26_assembled()
+    report = omega26_assembled()
     ids = [sid for sid, _ in report.parts]
     assert ids == [s.id for s in omega26_parts()]
     expected_ids = {
@@ -153,9 +152,9 @@ def test_omega26_part_inventory():
 
 
 def test_omega26_determinism():
-    a1, r1 = omega26_assembled()
-    a2, r2 = omega26_assembled()
-    assert a1 == a2 and r1 == r2
+    r1 = omega26_assembled()
+    r2 = omega26_assembled()
+    assert r1.assembled == r2.assembled and r1 == r2
     assert json.dumps(consistency_to_dict(r1)) == json.dumps(consistency_to_dict(r2))
 
 
