@@ -24,13 +24,6 @@ class Unsupported(ValueError):
     """Parameter combination the calculator does not implement."""
 
 
-#: kinds, in the order used for canonical display
-ATOM_KINDS = (
-    "affine", "projective", "grassmannian", "hilb_p2",
-    "linear_system", "universal_curve", "omega_locus",
-)
-
-
 @dataclass(frozen=True)
 class AtomKind:
     """A named standard variety with integer parameters."""
@@ -39,7 +32,7 @@ class AtomKind:
     args: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ATOM_KINDS:
+        if self.kind not in _CONSTRUCTORS:
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if any(a < 0 for a in self.args):
             raise ValueError(f"atom parameters must be >= 0: {self}")
@@ -106,7 +99,7 @@ def hilb_p2(n: int) -> MotiveClass:
 def linear_system(d: int) -> MotiveClass:
     """Class of the space of plane curves of degree d: P^(d(d+3)/2)."""
     if d < 1:
-        raise ValueError("degree must be >= 1")
+        raise OutOfRange(f"linear_system requires degree >= 1, got {d}")
     return projective(d * (d + 3) // 2)
 
 
@@ -117,7 +110,7 @@ def universal_curve(d: int) -> MotiveClass:
     so the class is P^2 times P^(d(d+3)/2 - 1).
     """
     if d < 1:
-        raise ValueError("degree must be >= 1")
+        raise OutOfRange(f"universal_curve requires degree >= 1, got {d}")
     return projective(2) * projective(d * (d + 3) // 2 - 1)
 
 

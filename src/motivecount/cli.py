@@ -27,15 +27,9 @@ from .oracle import (
 )
 from .strata import (
     TARGETS,
-    ConsistencyReport,
     assemble,
-    betti_csv,
-    betti_markdown,
-    consistency_to_dict,
     omega26_assembled,
-    report_markdown,
-    report_text,
-    report_to_dict,
+    render_verification,
     suite_to_dict,
     verify_all,
 )
@@ -87,76 +81,14 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.target == "all":
         suite = verify_all()
-        if args.format == "json":
-            _write(json.dumps(suite_to_dict(suite), indent=2) + "\n", args.output)
-        elif args.format == "md":
-            _write(_suite_markdown(suite), args.output)
-        elif args.format == "csv":
-            lines = ["target,i,b_2i"]
-            for r in suite.reports:
-                lines += [f"{r.target},{i},{b}" for i, b in enumerate(r.assembled.coeffs)]
-            _write("\n".join(lines) + "\n", args.output)
-        else:
-            blocks = [report_text(r) for r in suite.reports]
-            blocks.append(_omega26_text(suite.omega26))
-            _write("".join(blocks), args.output)
-        return 0 if suite.passed else 1
-
-    if args.target == "omega26":
-        consistency = omega26_assembled()
-        if args.format == "json":
-            doc = {"schema": 1, "omega26_consistency": consistency_to_dict(consistency)}
-            _write(json.dumps(doc, indent=2) + "\n", args.output)
-        elif args.format == "md":
-            _write(_omega26_markdown(consistency), args.output)
-        elif args.format == "csv":
-            _write(betti_csv(consistency.assembled), args.output)
-        else:
-            _write(_omega26_text(consistency), args.output)
-        # informational: the comparison never alone forces a failure
-        return 0
-
-    report = assemble(args.target)
-    if args.format == "json":
-        doc = {"schema": 1, "reports": [report_to_dict(report)]}
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
-    elif args.format == "md":
-        _write(report_markdown(report), args.output)
-    elif args.format == "csv":
-        _write(betti_csv(report.assembled), args.output)
+        reports, omega26 = suite.reports, suite.omega26
+    elif args.target == "omega26":
+        reports, omega26 = (), omega26_assembled()
     else:
-        _write(report_text(report), args.output)
-    return 0 if report.passed else 1
-
-
-def _suite_markdown(suite) -> str:
-    blocks = [report_markdown(r) for r in suite.reports]
-    blocks.append(_omega26_markdown(suite.omega26))
-    return "\n".join(blocks)
-
-
-def _omega26_markdown(c: ConsistencyReport) -> str:
-    lines = ["# omega26 consistency (informational)", ""]
-    lines.append(f"Assembled euler: {c.assembled.euler()}; "
-                 f"stated euler: {c.stated.euler()}; "
-                 f"matches: {'yes' if c.matches else 'no'}")
-    lines.append("")
-    lines.append(betti_markdown(c.assembled))
-    return "\n".join(lines)
-
-
-def _omega26_text(c: ConsistencyReport) -> str:
-    lines = ["omega26 consistency (informational):"]
-    for sid, cls in c.parts:
-        lines.append(f"  {sid}: {cls}  (euler {cls.euler()})")
-    for d in c.divisions:
-        base = str(d.quotient) if d.exact else f"NOT EXACT: {d.detail}"
-        lines.append(f"  bundle n={d.n}: total euler {d.numerator.euler()}; base {base}")
-    lines.append(f"  assembled: {c.assembled}  (euler {c.assembled.euler()})")
-    lines.append(f"  stated:    {c.stated}  (euler {c.stated.euler()})")
-    lines.append(f"  difference: {c.difference}")
-    lines.append(f"  matches stated value: {'yes' if c.matches else 'no'}")
-    return "\n".join(lines) + "\n"
+        reports, omega26 = (assemble(args.target),), None
+    _write(render_verification(reports, omega26, args.format), args.output)
+    # the consistency comparison is informational and never alone forces a failure
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -199,7 +131,8 @@ def cmd_report(args) -> int:
                  "|---|---:|---|---:|---:|---|"]
         lines += [f"| {r.counter} | {r.q} | {r.params} | {r.count} | {r.expected} | {r.status} |"
                   for r in bridges]
-        _write(_suite_markdown(suite) + "\n" + "\n".join(lines) + "\n", args.output)
+        _write(render_verification(suite.reports, suite.omega26, "md") + "\n"
+               + "\n".join(lines) + "\n", args.output)
     ok = suite.passed and all(r.passed or r.skipped for r in bridges)
     return 0 if ok else 1
 

@@ -11,13 +11,16 @@ Grammar (whitespace-insensitive, LL(1)):
              | 'Sym' INT '(' expr ')' | '(' expr ')'
 
 '-' is left-associative difference, '*' binds tighter than '+'/'-', and '^'
-binds tighter than '*'.  Integer literals denote disjoint unions of points,
-so "P1 - 1" is the class L.  Difference is kept as its own node (rather than
-addition of a negation) so registered formulas display exactly as written.
+binds tighter than '*'.  INT is a run of ASCII digits.  The atom primaries
+are read, and printed, through their templates in ``SYNTAX``.  Integer
+literals denote disjoint unions of points, so "P1 - 1" is the class L.
+Difference is kept as its own node (rather than addition of a negation) so
+registered formulas display exactly as written.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,49 +95,48 @@ class Sym:
 VarietyExpr = Union[Atom, Lit, Lefschetz, Sum, Diff, Prod, Pow, Sym]
 
 
+# -- syntax -------------------------------------------------------------------
+
+#: each atom's syntax in canonical display order; '{}' is an integer parameter
+SYNTAX = {
+    "affine": "A{}",
+    "projective": "P{}",
+    "grassmannian": "Gr({},{})",
+    "hilb_p2": "Hilb{}",
+    "linear_system": "Lin({})",
+    "universal_curve": "C({})",
+    "omega_locus": "Omega({},{})",
+}
+
+#: atom kind by its template's leading keyword
+_KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, t in SYNTAX.items()}
+
+_PRIMARY_START = (("'L'",) + tuple(f"'{word}'" for word in _KEYWORDS)
+                  + ("'Sym'", "integer", "'('"))
+
+
 # -- lexer --------------------------------------------------------------------
 
-_PUNCT = "()+-*^,"
+#: ASCII integers, ASCII words, punctuation, and any other non-space character
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)|([()+\-*^,])|(\S)")
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'INT', 'WORD', one of _PUNCT, or 'EOF'
+    kind: str  # 'INT', 'WORD', a punctuation character, or 'EOF'
     text: str
     offset: int
 
 
 def _lex(src: str) -> list[_Token]:
     toks = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            toks.append(_Token(ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", src[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            toks.append(_Token("WORD", src[i:j], i))
-            i = j
-        else:
-            raise ParseError(i, ("expression",), repr(ch))
-    toks.append(_Token("EOF", "", n))
+    for m in _TOKEN.finditer(src):
+        text = m[0]
+        if m.lastindex == 4:
+            raise ParseError(m.start(), ("expression",), repr(text))
+        toks.append(_Token(("INT", "WORD", text)[m.lastindex - 1], text, m.start()))
+    toks.append(_Token("EOF", "", len(src)))
     return toks
-
-
-_PRIMARY_START = ("'L'", "'A'", "'P'", "'Gr'", "'Hilb'", "'Lin'", "'C'",
-                  "'Omega'", "'Sym'", "integer", "'('")
 
 
 class _Parser:
@@ -208,44 +210,30 @@ class _Parser:
         word = self._take()
         if word.text == "L":
             return Lefschetz()
-        if word.text == "A":
-            return Atom(AtomKind("affine", (self._int(),)))
-        if word.text == "P":
-            return Atom(AtomKind("projective", (self._int(),)))
-        if word.text == "Hilb":
-            return Atom(AtomKind("hilb_p2", (self._int(),)))
-        if word.text == "Gr":
-            k, n = self._pair()
-            if k > n:
-                raise ArityError(word.offset, f"Gr({k},{n}) requires k <= n")
-            return Atom(AtomKind("grassmannian", (k, n)))
-        if word.text == "Lin":
-            return Atom(AtomKind("linear_system", (self._paren_int(),)))
-        if word.text == "C":
-            return Atom(AtomKind("universal_curve", (self._paren_int(),)))
-        if word.text == "Omega":
-            return Atom(AtomKind("omega_locus", self._pair()))
         if word.text == "Sym":
             order = self._int()
             self._expect("(", ("'('",))
             inner = self.expr()
             self._expect(")", ("')'",))
             return Sym(order, inner)
-        raise ParseError(word.offset, _PRIMARY_START, word.text)
+        kind = _KEYWORDS.get(word.text)
+        if kind is None:
+            raise ParseError(word.offset, _PRIMARY_START, word.text)
+        args = self._args(SYNTAX[kind][len(word.text):])
+        if kind == "grassmannian" and args[0] > args[1]:
+            raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} requires k <= n")
+        return Atom(AtomKind(kind, args))
 
-    def _paren_int(self) -> int:
-        self._expect("(", ("'('",))
-        v = self._int()
-        self._expect(")", ("')'",))
-        return v
-
-    def _pair(self) -> tuple[int, int]:
-        self._expect("(", ("'('",))
-        a = self._int()
-        self._expect(",", ("','",))
-        b = self._int()
-        self._expect(")", ("')'",))
-        return a, b
+    def _args(self, shape: str) -> tuple[int, ...]:
+        """The integer parameters along a template's text after its keyword,
+        such as '({},{})'."""
+        args = []
+        for piece in re.findall(r"\{\}|.", shape):
+            if piece == "{}":
+                args.append(self._int())
+            else:
+                self._expect(piece, (f"'{piece}'",))
+        return tuple(args)
 
 
 def parse(source: str) -> VarietyExpr:
@@ -302,29 +290,11 @@ def _prec(e: VarietyExpr) -> int:
     return _PRIMARY
 
 
-def _atom_text(kind: AtomKind) -> str:
-    k = kind.kind
-    a = kind.args
-    if k == "affine":
-        return f"A{a[0]}"
-    if k == "projective":
-        return f"P{a[0]}"
-    if k == "grassmannian":
-        return f"Gr({a[0]},{a[1]})"
-    if k == "hilb_p2":
-        return f"Hilb{a[0]}"
-    if k == "linear_system":
-        return f"Lin({a[0]})"
-    if k == "universal_curve":
-        return f"C({a[0]})"
-    return f"Omega({a[0]},{a[1]})"
-
-
 def format_expr(e: VarietyExpr) -> str:
     """Render a tree in canonical syntax; parse(format_expr(e)) == e for
     trees in parser shape (no Sum directly under Sum or Prod under Prod)."""
     if isinstance(e, Atom):
-        return _atom_text(e.kind)
+        return SYNTAX[e.kind.kind].format(*e.kind.args)
     if isinstance(e, Lit):
         return str(e.value)
     if isinstance(e, Lefschetz):

@@ -4,9 +4,9 @@ The engine finds the ideals generated by at most two elements.  Rather than
 walk the q^(2 dim) generator pairs, it uses the identity (f, g) = (f) + (g):
 the ideal generated by a pair is the subspace sum of the two principal
 ideals.  It sweeps every element once, records the distinct principal
-ideals, and then forms all pairwise sums.  That two generators reach every
-ideal is certified in the tests against the exhaustive sweep of
-multiplication-closed subspaces in :mod:`.ideals`.
+ideals, and then forms the sum of each unordered pair of them.  That two
+generators reach every ideal is certified in the tests against the
+exhaustive sweep of multiplication-closed subspaces in :mod:`.ideals`.
 """
 
 from __future__ import annotations
@@ -38,18 +38,15 @@ def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int) -> list[tuple[Vec
     sorted."""
     principals = list(principal_closures(alg, q).values())
     found: set[tuple[Vector, ...]] = set()
-    for rows_f in principals:
-        if alg.dim - len(rows_f) == colength:
-            found.add(rref(rows_f, q))
-        for rows_g in principals:
+    # each unordered pair once; the pair (f), (f) gives the principal ideal
+    for i, rows_f in enumerate(principals):
+        for rows_g in principals[i:]:
             merged = list(rows_f)
-            grew = False
             for _, v in rows_g:
                 new = echelon_reduce(merged, v, q)
                 if new is not None:
                     merged.append(new)
                     merged.sort()
-                    grew = True
-            if grew and alg.dim - len(merged) == colength:
+            if alg.dim - len(merged) == colength:
                 found.add(rref(merged, q))
     return sorted(found)

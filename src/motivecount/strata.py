@@ -17,7 +17,7 @@ verification path never depends on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -108,17 +108,10 @@ class ReportFlags:
 
     @property
     def all_pass(self) -> bool:
-        return (self.table_match and self.euler_match and self.palindromic
-                and self.degree_matches_dimension and self.nonnegative)
+        return all(self.as_dict().values())
 
     def as_dict(self) -> dict:
-        return {
-            "table_match": self.table_match,
-            "euler_match": self.euler_match,
-            "palindromic": self.palindromic,
-            "degree_matches_dimension": self.degree_matches_dimension,
-            "nonnegative": self.nonnegative,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -303,13 +296,20 @@ def consistency_to_dict(report: ConsistencyReport) -> dict:
     }
 
 
+def _verification_dict(reports: tuple[VerificationReport, ...],
+                       omega26: ConsistencyReport | None) -> dict:
+    doc = {"schema": 1}
+    if reports:
+        doc["reports"] = [report_to_dict(r) for r in reports]
+    if omega26 is not None:
+        doc["omega26_consistency"] = consistency_to_dict(omega26)
+    if reports and omega26 is not None:  # a suite
+        doc["pass"] = all(r.passed for r in reports)
+    return doc
+
+
 def suite_to_dict(suite: VerificationSuite) -> dict:
-    return {
-        "schema": 1,
-        "reports": [report_to_dict(r) for r in suite.reports],
-        "omega26_consistency": consistency_to_dict(suite.omega26),
-        "pass": suite.passed,
-    }
+    return _verification_dict(suite.reports, suite.omega26)
 
 
 def registry_to_json() -> str:
@@ -345,3 +345,50 @@ def report_text(report: VerificationReport) -> str:
     for k, v in report.flags.as_dict().items():
         lines.append(f"  {k}: {'pass' if v else 'FAIL'}")
     return "\n".join(lines) + "\n"
+
+
+def consistency_markdown(c: ConsistencyReport) -> str:
+    lines = ["# omega26 consistency (informational)", ""]
+    lines.append(f"Assembled euler: {c.assembled.euler()}; "
+                 f"stated euler: {c.stated.euler()}; "
+                 f"matches: {'yes' if c.matches else 'no'}")
+    lines.append("")
+    lines.append(betti_markdown(c.assembled))
+    return "\n".join(lines)
+
+
+def consistency_text(c: ConsistencyReport) -> str:
+    lines = ["omega26 consistency (informational):"]
+    for sid, cls in c.parts:
+        lines.append(f"  {sid}: {cls}  (euler {cls.euler()})")
+    for d in c.divisions:
+        base = str(d.quotient) if d.exact else f"NOT EXACT: {d.detail}"
+        lines.append(f"  bundle n={d.n}: total euler {d.numerator.euler()}; base {base}")
+    lines.append(f"  assembled: {c.assembled}  (euler {c.assembled.euler()})")
+    lines.append(f"  stated:    {c.stated}  (euler {c.stated.euler()})")
+    lines.append(f"  difference: {c.difference}")
+    lines.append(f"  matches stated value: {'yes' if c.matches else 'no'}")
+    return "\n".join(lines) + "\n"
+
+
+def render_verification(reports: tuple[VerificationReport, ...],
+                        omega26: ConsistencyReport | None, fmt: str) -> str:
+    """Render what ``verify`` computed, in json, csv, md or text: every
+    target's report with the consistency report (a suite), one target's
+    report, or the consistency report.  A suite's md and text are its parts'
+    blocks in turn; its json adds the overall pass, and its CSV is one table
+    keyed by target, with no consistency rows."""
+    suite = bool(reports) and omega26 is not None
+    consistency = [] if omega26 is None else [omega26]
+    if fmt == "json":
+        return json.dumps(_verification_dict(reports, omega26), indent=2) + "\n"
+    if fmt == "csv":
+        if not suite:
+            return betti_csv((reports[0] if reports else omega26).assembled)
+        lines = ["target,i,b_2i"] + [f"{r.target},{i},{b}" for r in reports
+                                     for i, b in betti_rows(r.assembled)]
+        return "\n".join(lines) + "\n"
+    if fmt == "md":
+        return "\n".join([report_markdown(r) for r in reports]
+                         + [consistency_markdown(c) for c in consistency])
+    return "".join([report_text(r) for r in reports] + [consistency_text(c) for c in consistency])

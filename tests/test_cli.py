@@ -44,6 +44,18 @@ def test_eval_syntax_error(capsys):
     assert "SyntaxError at offset 5" in err
 
 
+@pytest.mark.parametrize("expr,err", [
+    ("", "SyntaxError at offset 0: expected 'L', 'A', 'P', 'Gr', 'Hilb', 'Lin', 'C', "
+         "'Omega', 'Sym', integer, '(', found end of input\n"),
+    ("Lin(0)", "error: linear_system requires degree >= 1, got 0\n"),
+    ("C(0)", "error: universal_curve requires degree >= 1, got 0\n"),
+    ("P\u00b2", "SyntaxError at offset 1: expected expression, found '\u00b2'\n"),
+])
+def test_eval_bad_input_exits_2(capsys, expr, err):
+    code, out, got = run(capsys, "eval", expr)
+    assert (code, out, got) == (2, "", err)
+
+
 def test_eval_arity_error(capsys):
     code, _, err = run(capsys, "eval", "Gr(5,2)")
     assert code == 2
@@ -102,6 +114,29 @@ def test_verify_omega26_csv(capsys):
     assert code == 0
     betti = [1, 3, 8, 21, 39, 57, 62, 52, 33, 15, 5, 1]  # the assembled class, euler 297
     assert out.splitlines() == ["i,b_2i"] + [f"{i},{b}" for i, b in enumerate(betti)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md", "text"])
+def test_verify_all_composes_targets_and_omega26(capsys, fmt):
+    parts = {t: run(capsys, "verify", "--target", t, "--format", fmt)[1]
+             for t in ("m11", "m21", "m31", "m41", "m51", "m52", "omega26")}
+    targets, omega26 = [parts[t] for t in parts if t != "omega26"], parts["omega26"]
+    code, out, _ = run(capsys, "verify", "--target", "all", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        reports = [r for doc in targets for r in json.loads(doc)["reports"]]
+        want = {"schema": 1, "reports": reports,
+                "omega26_consistency": json.loads(omega26)["omega26_consistency"],
+                "pass": all(r["pass"] for r in reports)}
+        assert out == json.dumps(want, indent=2) + "\n"
+    elif fmt == "csv":  # keyed by target; the consistency report has no rows here
+        rows = [f"{t},{row}" for t, doc in zip(parts, targets)
+                for row in doc.splitlines()[1:]]
+        assert out.splitlines() == ["target,i,b_2i"] + rows
+    elif fmt == "md":
+        assert out == "\n".join(targets + [omega26])
+    else:
+        assert out == "".join(targets + [omega26])
 
 
 def test_verify_csv(capsys):

@@ -62,6 +62,10 @@ def test_parse_all_primaries():
     ("(P2", 3),
     ("P", 1),
     ("Frob(2)", 0),
+    ("P\u00b2", 1),  # superscript two: integers are ASCII digits only
+    ("Gr(\u00b2,4)", 3),
+    ("\u2075", 0),  # superscript five
+    ("P\u0663", 1),  # Arabic-Indic three
 ])
 def test_parse_errors_carry_offsets(source, offset):
     with pytest.raises(ParseError) as err:
