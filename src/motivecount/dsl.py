@@ -11,9 +11,10 @@ Grammar (whitespace-insensitive, LL(1)):
              | 'Sym' INT '(' expr ')' | '(' expr ')'
 
 '-' is left-associative difference, '*' binds tighter than '+'/'-', and '^'
-binds tighter than '*'.  INT is a run of ASCII digits.  The atom primaries
-are read, and printed, through their templates in ``SYNTAX``.  Integer
-literals denote disjoint unions of points, so "P1 - 1" is the class L.
+binds tighter than '*'.  INT is a run of at most ``MAX_INT_DIGITS`` ASCII
+digits; a longer literal is a :class:`ParseError` at its offset.  The atom
+primaries are read, and printed, through their templates in ``SYNTAX``.
+Integer literals denote disjoint unions of points, so "P1 - 1" is the class L.
 Difference is kept as its own node (rather than addition of a negation) so
 registered formulas display exactly as written.
 """
@@ -111,6 +112,10 @@ SYNTAX = {
 #: atom kind by its template's leading keyword
 _KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, t in SYNTAX.items()}
 
+#: most digits in one integer literal; longer literals are rejected before
+#: conversion, below Python's 4300-digit limit on int() of a string
+MAX_INT_DIGITS = 1000
+
 _PRIMARY_START = (("'L'",) + tuple(f"'{word}'" for word in _KEYWORDS)
                   + ("'Sym'", "integer", "'('"))
 
@@ -159,7 +164,11 @@ class _Parser:
         return self._take()
 
     def _int(self) -> int:
-        return int(self._expect("INT", ("integer",)).text)
+        t = self._expect("INT", ("integer",))
+        if len(t.text) > MAX_INT_DIGITS:
+            raise ParseError(t.offset, (f"integer of at most {MAX_INT_DIGITS} digits",),
+                             f"{len(t.text)} digits")
+        return int(t.text)
 
     def parse(self) -> VarietyExpr:
         e = self.expr()
@@ -199,7 +208,7 @@ class _Parser:
     def primary(self) -> VarietyExpr:
         t = self._peek()
         if t.kind == "INT":
-            return Lit(int(self._take().text))
+            return Lit(self._int())
         if t.kind == "(":
             self._take()
             e = self.expr()

@@ -4,31 +4,28 @@ The engine finds the ideals generated by at most two elements.  Rather than
 walk the q^(2 dim) generator pairs, it uses the identity (f, g) = (f) + (g):
 the ideal generated by a pair is the subspace sum of the two principal
 ideals.  It sweeps every element once, records the distinct principal
-ideals, and then forms the sum of each unordered pair of them.  That two
-generators reach every ideal is certified in the tests against the
-exhaustive sweep of multiplication-closed subspaces in :mod:`.ideals`.
+ideals, and then forms the sum of each unordered pair of them.  The sweep
+visits all q^dim elements; the (q - 1)/q of them with a nonzero constant
+term are units, whose closure returns the whole algebra's basis at once
+(:func:`.ideals.close_under_multiplication`).  That two generators reach
+every ideal is certified in the tests against the exhaustive sweep of
+multiplication-closed subspaces in :mod:`.ideals`.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import LocalAlgebra
 from .ideals import Row, Vector, close_under_multiplication, echelon_reduce, rref
-
-
-def _decode(code: int, q: int, dim: int) -> Vector:
-    out = []
-    for _ in range(dim):
-        code, rem = divmod(code, q)
-        out.append(rem)
-    return tuple(out)
 
 
 def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[Vector, ...], list[Row]]:
     """Echelon bases of the principal ideals (f) for every element f,
     keyed by canonical form."""
     out: dict[tuple[Vector, ...], list[Row]] = {}
-    for code in range(q ** alg.dim):
-        rows = close_under_multiplication([_decode(code, q, alg.dim)], alg, q)
+    for f in product(range(q), repeat=alg.dim):
+        rows = close_under_multiplication([f], alg, q)
         out.setdefault(rref(rows, q), rows)
     return out
 

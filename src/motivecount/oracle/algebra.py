@@ -30,10 +30,7 @@ class LocalAlgebra:
     monomials: tuple[tuple[int, int], ...]
     mul_x: tuple[int, ...]  # basis index of x * monomial, or -1 if it vanishes
     mul_y: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
+    dim: int  # len(monomials), stored: the oracle's inner loops read it
 
 
 @lru_cache(maxsize=None)
@@ -65,4 +62,5 @@ def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
         monomials=tuple(monomials),
         mul_x=tuple(shift(m, 1, 0) for m in monomials),
         mul_y=tuple(shift(m, 0, 1) for m in monomials),
+        dim=len(monomials),
     )

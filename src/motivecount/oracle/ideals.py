@@ -9,6 +9,7 @@ which is a canonical form: two ideals are equal iff their records are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import LocalAlgebra
@@ -42,11 +43,22 @@ def echelon_reduce(rows: list[Row], v: Vector, q: int) -> Row | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(dim: int) -> tuple[Row, ...]:
+    return tuple((i, tuple(int(j == i) for j in range(dim))) for i in range(dim))
+
+
 def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Row]:
     """Echelon basis of the ideal generated by the given vectors: the span
-    of all monomial multiples, built with a worklist."""
-    rows: list[Row] = []
+    of all monomial multiples, built with a worklist.
+
+    Index 0 is the monomial 1, so a generator with a nonzero constant term
+    is a unit of the local algebra and the ideal is the whole algebra; its
+    basis, the identity rows, is returned without a worklist."""
     work = list(generators)
+    if any(v[0] for v in work):
+        return list(_identity_rows(alg.dim))
+    rows: list[Row] = []
     while work:
         v = work.pop()
         new = echelon_reduce(rows, v, q)
@@ -138,7 +150,7 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     found: set[tuple[Vector, ...]] = set()
     if extra_dim < 0:
         return found
-    units = [(i, tuple(1 if j == i else 0 for j in range(alg.dim))) for i in forced]
+    units = [_identity_rows(alg.dim)[i] for i in forced]
     for form in reduced_echelon_forms(extra_dim, len(free_region), q):
         # the form's rows and the forced unit rows have disjoint supports,
         # so together they are already a reduced echelon basis

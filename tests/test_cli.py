@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from motivecount.cli import main
+from motivecount.dsl import MAX_INT_DIGITS
 
 
 def run(capsys, *argv):
@@ -54,6 +55,19 @@ def test_eval_syntax_error(capsys):
 def test_eval_bad_input_exits_2(capsys, expr, err):
     code, out, got = run(capsys, "eval", expr)
     assert (code, out, got) == (2, "", err)
+
+
+@pytest.mark.parametrize("expr,offset", [
+    ("P" + "9" * 5000, 1),
+    ("7" * 5000, 0),
+    ("L^" + "2" * 5000, 2),
+    ("Sym" + "2" * 5000 + "(P1)", 3),
+], ids=["atom-parameter", "literal", "exponent", "sym-order"])
+def test_eval_long_integer_literal_exits_2(capsys, expr, offset):
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err == (f"SyntaxError at offset {offset}: expected integer of at most "
+                   f"{MAX_INT_DIGITS} digits, found 5000 digits\n")
 
 
 def test_eval_arity_error(capsys):

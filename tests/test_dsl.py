@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from motivecount import L, MotiveClass, projective
 from motivecount.atoms import AtomKind
 from motivecount.dsl import (
+    MAX_INT_DIGITS,
     ArityError,
     Atom,
     Diff,
@@ -78,6 +79,13 @@ def test_parse_error_on_bad_character():
     with pytest.raises(ParseError) as err:
         parse("P2 $ P3")
     assert err.value.offset == 3
+
+
+def test_integer_literal_digit_limit():
+    assert parse("9" * MAX_INT_DIGITS) == Lit(int("9" * MAX_INT_DIGITS))
+    with pytest.raises(ParseError) as err:
+        parse("P2 + " + "9" * (MAX_INT_DIGITS + 1))
+    assert err.value.offset == 5
 
 
 def test_arity_error():

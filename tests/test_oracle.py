@@ -1,5 +1,6 @@
 """Finite-field counting: plane points, Grassmannians, ideal enumeration, bridges."""
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from motivecount.oracle import (
 )
 from motivecount.oracle import _pure
 from motivecount.oracle.counting import MAX_SWEEP
+from motivecount.oracle.ideals import close_under_multiplication, rref
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -181,6 +183,65 @@ def test_from_rows_rejects_non_ideals():
     x_vec = tuple(1 if alg.monomials[i] == (1, 0) else 0 for i in range(alg.dim))
     with pytest.raises(ValueError):
         IdealRecord.from_rows((x_vec,), alg, 2)
+
+
+def _monomial_multiple(f, monomial, alg, q):
+    """f times the basis monomial x^a y^b, each coefficient shifted a times
+    along mul_x and b times along mul_y (-1: the product vanishes)."""
+    out = [0] * alg.dim
+    for i, c in enumerate(f):
+        k = i
+        for mul_map, times in ((alg.mul_x, monomial[0]), (alg.mul_y, monomial[1])):
+            for _ in range(times):
+                k = mul_map[k] if k >= 0 else -1
+        if k >= 0:
+            out[k] = (out[k] + c) % q
+    return out
+
+
+def _span_rref(vectors, q):
+    """Reduced row echelon basis of the span, rows sorted by pivot, by
+    Gauss-Jordan elimination."""
+    rows = []
+    for v in vectors:
+        for r in rows:
+            c = v[r.index(1)]
+            v = [(a - c * b) % q for a, b in zip(v, r)]
+        if any(v):
+            p = next(i for i, c in enumerate(v) if c)
+            inv = pow(v[p], q - 2, q)
+            v = [(a * inv) % q for a in v]
+            rows = [[(a - r[p] * b) % q for a, b in zip(r, v)] for r in rows] + [v]
+    return tuple(tuple(r) for r in sorted(rows, key=lambda r: r.index(1)))
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2)])
+def test_principal_closure_is_span_of_monomial_multiples(curve, q, maxc):
+    """(f) is spanned by f times every basis monomial; units included."""
+    for c in range(1, maxc + 1):
+        alg = truncated_algebra(curve, c)
+        for f in itertools.product(range(q), repeat=alg.dim):
+            expected = _span_rref([_monomial_multiple(f, m, alg, q) for m in alg.monomials], q)
+            assert rref(close_under_multiplication([f], alg, q), q) == expected, (curve, c, q, f)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_a_unit_generates_the_whole_algebra(curve):
+    alg = truncated_algebra(curve, 3)
+    idx = {m: i for i, m in enumerate(alg.monomials)}
+
+    def element(*terms):
+        v = [0] * alg.dim
+        for mon, c in terms:
+            v[idx[mon]] = c
+        return tuple(v)
+
+    x, y2 = element(((1, 0), 1)), element(((0, 2), 2))
+    unit = element(((0, 0), 2), ((0, 1), 1))  # 2 + y
+    identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
+    assert rref(close_under_multiplication([x, unit, y2], alg, 3), 3) == identity
+    assert IdealRecord.from_generators([unit], alg, 3).colength == 0
 
 
 def test_order_independence(monkeypatch):
