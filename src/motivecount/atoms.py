@@ -63,6 +63,9 @@ def grassmannian(k: int, n: int) -> MotiveClass:
     """
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got ({k}, {n})")
+    # Gr(k, n) = Gr(n-k, n); the smaller k keeps the numerator's degree
+    # within twice the result's
+    k = min(k, n - k)
     num = MotiveClass((1,))
     den = MotiveClass((1,))
     for i in range(k):
@@ -148,3 +151,22 @@ _CONSTRUCTORS = {
 def atom_class(atom: AtomKind) -> MotiveClass:
     """Evaluate an :class:`AtomKind` to its motive class."""
     return _CONSTRUCTORS[atom.kind](*atom.args)
+
+
+#: degree of each atom's class from its parameters; for the Omega loci,
+#: which lie in Hilb n, the bound 2n
+_DEGREES = {
+    "affine": lambda n: n,
+    "projective": lambda n: n,
+    "grassmannian": lambda k, n: k * (n - k),
+    "hilb_p2": lambda n: 2 * n,
+    "linear_system": lambda d: d * (d + 3) // 2,
+    "universal_curve": lambda d: d * (d + 3) // 2 + 1,
+    "omega_locus": lambda k, n: 2 * n,
+}
+
+
+def atom_degree(atom: AtomKind) -> int:
+    """Degree of an atom's class, read off its parameters without building
+    the class (an upper bound for the Omega loci)."""
+    return _DEGREES[atom.kind](*atom.args)

@@ -17,6 +17,14 @@ primaries are read, and printed, through their templates in ``SYNTAX``.
 Integer literals denote disjoint unions of points, so "P1 - 1" is the class L.
 Difference is kept as its own node (rather than addition of a negation) so
 registered formulas display exactly as written.
+
+While parsing, each node gets a degree bound by the rules of the class
+degree: an atom's from its parameters (:func:`.atoms.atom_degree`), 1 for
+L, 0 for a literal; a sum or difference takes the larger of its operands, a
+product adds, X^k and Sym k(X) multiply by k.  An atom parameter, exponent
+or Sym order over ``MAX_DEGREE``, or a node of degree over ``MAX_DEGREE``,
+is an :class:`ArityError` at that node's offset, so evaluation time stays
+bounded.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .atoms import AtomKind, atom_class
+from .atoms import AtomKind, atom_class, atom_degree
 from .motive import MotiveClass
 
 
@@ -41,11 +49,12 @@ class ParseError(ValueError):
 
 
 class ArityError(ValueError):
-    """Structurally valid atom with ill-formed parameters (e.g. Gr(3,2))."""
+    """Structurally valid expression with ill-formed atom parameters (e.g.
+    Gr(3,2)), or with a number or degree over :data:`MAX_DEGREE`."""
 
-    def __init__(self, offset: int, message: str):
+    def __init__(self, offset: int, message: str, what: str = "bad atom parameters"):
         self.offset = offset
-        super().__init__(f"bad atom parameters at offset {offset}: {message}")
+        super().__init__(f"{what} at offset {offset}: {message}")
 
 
 # -- abstract syntax ---------------------------------------------------------
@@ -109,6 +118,11 @@ SYNTAX = {
     "omega_locus": "Omega({},{})",
 }
 
+#: largest degree of any node, and largest atom parameter, exponent and Sym
+#: order; the slowest admitted expressions found, such as Sym 100(P2), take
+#: under half a second (Python 3.11, one core of a 2-vCPU Xeon VM)
+MAX_DEGREE = 200
+
 #: atom kind by its template's leading keyword
 _KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, t in SYNTAX.items()}
 
@@ -170,18 +184,35 @@ class _Parser:
                              f"{len(t.text)} digits")
         return int(t.text)
 
+    def _cap(self, offset: int, degree: int) -> int:
+        if degree > MAX_DEGREE:
+            raise ArityError(offset, f"degree {degree} is over {MAX_DEGREE}",
+                             "expression too large")
+        return degree
+
+    def _multiplier(self, what: str) -> int:
+        """An exponent or Sym order, at most MAX_DEGREE."""
+        offset = self._peek().offset
+        n = self._int()
+        if n > MAX_DEGREE:
+            raise ArityError(offset, f"{what} {n} is over {MAX_DEGREE}", "expression too large")
+        return n
+
+    # each rule below returns the node and its degree bound
+
     def parse(self) -> VarietyExpr:
-        e = self.expr()
+        e, _ = self.expr()
         t = self._peek()
         if t.kind != "EOF":
             raise ParseError(t.offset, ("'+'", "'-'", "'*'", "'^'", "end of input"), t.text)
         return e
 
-    def expr(self) -> VarietyExpr:
-        acc = self.term()
+    def expr(self) -> tuple[VarietyExpr, int]:
+        acc, degree = self.term()
         while self._peek().kind in "+-":
             op = self._take().kind
-            rhs = self.term()
+            rhs, rhs_degree = self.term()
+            degree = max(degree, rhs_degree)
             if op == "+":
                 if isinstance(acc, Sum):
                     acc = Sum(acc.items + (rhs,))
@@ -189,26 +220,32 @@ class _Parser:
                     acc = Sum((acc, rhs))
             else:
                 acc = Diff(acc, rhs)
-        return acc
+        return acc, degree
 
-    def term(self) -> VarietyExpr:
-        items = [self.factor()]
+    def term(self) -> tuple[VarietyExpr, int]:
+        offset = self._peek().offset
+        item, degree = self.factor()
+        items = [item]
         while self._peek().kind == "*":
             self._take()
-            items.append(self.factor())
-        return items[0] if len(items) == 1 else Prod(tuple(items))
+            item, item_degree = self.factor()
+            items.append(item)
+            degree = self._cap(offset, degree + item_degree)
+        return (items[0] if len(items) == 1 else Prod(tuple(items))), degree
 
-    def factor(self) -> VarietyExpr:
-        base = self.primary()
+    def factor(self) -> tuple[VarietyExpr, int]:
+        offset = self._peek().offset
+        base, degree = self.primary()
         if self._peek().kind == "^":
             self._take()
-            return Pow(base, self._int())
-        return base
+            k = self._multiplier("exponent")
+            return Pow(base, k), self._cap(offset, k * degree)
+        return base, degree
 
-    def primary(self) -> VarietyExpr:
+    def primary(self) -> tuple[VarietyExpr, int]:
         t = self._peek()
         if t.kind == "INT":
-            return Lit(self._int())
+            return Lit(self._int()), 0
         if t.kind == "(":
             self._take()
             e = self.expr()
@@ -218,20 +255,24 @@ class _Parser:
             raise ParseError(t.offset, _PRIMARY_START, t.text or "end of input")
         word = self._take()
         if word.text == "L":
-            return Lefschetz()
+            return Lefschetz(), 1
         if word.text == "Sym":
-            order = self._int()
+            order = self._multiplier("Sym order")
             self._expect("(", ("'('",))
-            inner = self.expr()
+            inner, degree = self.expr()
             self._expect(")", ("')'",))
-            return Sym(order, inner)
+            return Sym(order, inner), self._cap(word.offset, order * degree)
         kind = _KEYWORDS.get(word.text)
         if kind is None:
             raise ParseError(word.offset, _PRIMARY_START, word.text)
         args = self._args(SYNTAX[kind][len(word.text):])
         if kind == "grassmannian" and args[0] > args[1]:
             raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} requires k <= n")
-        return Atom(AtomKind(kind, args))
+        if max(args) > MAX_DEGREE:
+            raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} has a parameter "
+                                          f"over {MAX_DEGREE}")
+        atom = AtomKind(kind, args)
+        return Atom(atom), self._cap(word.offset, atom_degree(atom))
 
     def _args(self, shape: str) -> tuple[int, ...]:
         """The integer parameters along a template's text after its keyword,

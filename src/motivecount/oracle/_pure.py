@@ -3,13 +3,17 @@
 The engine finds the ideals generated by at most two elements.  Rather than
 walk the q^(2 dim) generator pairs, it uses the identity (f, g) = (f) + (g):
 the ideal generated by a pair is the subspace sum of the two principal
-ideals.  It sweeps every element once, records the distinct principal
-ideals, and then forms the sum of each unordered pair of them.  The sweep
-visits all q^dim elements; the (q - 1)/q of them with a nonzero constant
-term are units, whose closure returns the whole algebra's basis at once
-(:func:`.ideals.close_under_multiplication`).  That two generators reach
-every ideal is certified in the tests against the exhaustive sweep of
-multiplication-closed subspaces in :mod:`.ideals`.
+ideals.  It sweeps one element per scalar class, since f and cf generate
+the same ideal for every nonzero scalar c: zero, then each element whose
+first nonzero coefficient is 1, which at q = 2 is all q^dim elements.  It
+records the distinct principal ideals and then forms the sum of each
+unordered pair of them.  The swept elements with a nonzero constant term
+are units, whose closure returns the whole algebra's basis at once
+(:func:`.ideals.close_under_multiplication`).  Every basis is built already
+in reduced echelon form (:func:`.ideals.insert_reduced`), so it is its own
+canonical key.  That two generators reach every ideal is certified in the
+tests against the exhaustive sweep of multiplication-closed subspaces in
+:mod:`.ideals`.
 """
 
 from __future__ import annotations
@@ -17,16 +21,27 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LocalAlgebra
-from .ideals import Row, Vector, close_under_multiplication, echelon_reduce, rref
+from .ideals import Row, Vector, close_under_multiplication, insert_reduced
+
+
+def scalar_representatives(dim: int, q: int):
+    """One vector per class v ~ cv, c a nonzero scalar: zero, then each
+    vector whose first nonzero coefficient is 1; 1 + (q^dim - 1)/(q - 1)
+    vectors in all."""
+    yield (0,) * dim
+    for lead in range(dim):
+        head = (0,) * lead + (1,)
+        for tail in product(range(q), repeat=dim - lead - 1):
+            yield head + tail
 
 
 def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[Vector, ...], list[Row]]:
-    """Echelon bases of the principal ideals (f) for every element f,
-    keyed by canonical form."""
+    """Reduced echelon bases of the principal ideals (f), one f per scalar
+    class, keyed by the basis vectors."""
     out: dict[tuple[Vector, ...], list[Row]] = {}
-    for f in product(range(q), repeat=alg.dim):
+    for f in scalar_representatives(alg.dim, q):
         rows = close_under_multiplication([f], alg, q)
-        out.setdefault(rref(rows, q), rows)
+        out.setdefault(tuple(v for _, v in rows), rows)
     return out
 
 
@@ -40,10 +55,7 @@ def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int) -> list[tuple[Vec
         for rows_g in principals[i:]:
             merged = list(rows_f)
             for _, v in rows_g:
-                new = echelon_reduce(merged, v, q)
-                if new is not None:
-                    merged.append(new)
-                    merged.sort()
+                insert_reduced(merged, v, q)
             if alg.dim - len(merged) == colength:
-                found.add(rref(merged, q))
+                found.add(tuple(v for _, v in merged))
     return sorted(found)

@@ -8,6 +8,7 @@ which is a canonical form: two ideals are equal iff their records are equal.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -30,17 +31,40 @@ def vec_mul_monomial(v: Vector, mul_map: tuple[int, ...], dim: int) -> Vector:
 
 def echelon_reduce(rows: list[Row], v: Vector, q: int) -> Row | None:
     """Reduce v against an echelon basis; return the normalized new row, or
-    None if v lies in the span."""
+    None if v lies in the span.  A row is zero before its pivot, so each
+    step rewrites only the columns from the pivot on."""
     v = list(v)
     for piv, row in rows:
         c = v[piv]
         if c:
-            v = [(a - c * b) % q for a, b in zip(v, row)]
+            v[piv:] = [(a - c * b) % q for a, b in zip(v[piv:], row[piv:])]
     for i, c in enumerate(v):
         if c:
             inv = pow(c, q - 2, q)
-            return i, tuple((x * inv) % q for x in v)
+            v[i:] = [(x * inv) % q for x in v[i:]]
+            return i, tuple(v)
     return None
+
+
+def insert_reduced(rows: list[Row], v: Vector, q: int) -> Row | None:
+    """Extend a reduced echelon basis, rows sorted by pivot, by v in place:
+    reduce v, clear its pivot column from the rows above it and insert it in
+    pivot order, so the rows stay a reduced echelon basis.  Return the new
+    row, or None if v lies in the span."""
+    new = echelon_reduce(rows, v, q)
+    if new is None:
+        return None
+    p, w = new
+    for k, (piv, row) in enumerate(rows):
+        if piv > p:
+            break
+        c = row[p]
+        if c:
+            r = list(row)
+            r[p:] = [(a - c * b) % q for a, b in zip(row[p:], w[p:])]
+            rows[k] = (piv, tuple(r))
+    insort(rows, new)
+    return new
 
 
 @lru_cache(maxsize=None)
@@ -49,8 +73,9 @@ def _identity_rows(dim: int) -> tuple[Row, ...]:
 
 
 def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Row]:
-    """Echelon basis of the ideal generated by the given vectors: the span
-    of all monomial multiples, built with a worklist.
+    """Reduced echelon basis, rows sorted by pivot, of the ideal generated
+    by the given vectors: the span of all monomial multiples, built with a
+    worklist.  The basis is its own canonical form.
 
     Index 0 is the monomial 1, so a generator with a nonzero constant term
     is a unit of the local algebra and the ideal is the whole algebra; its
@@ -60,14 +85,10 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
         return list(_identity_rows(alg.dim))
     rows: list[Row] = []
     while work:
-        v = work.pop()
-        new = echelon_reduce(rows, v, q)
-        if new is None:
-            continue
-        rows.append(new)
-        rows.sort()
-        work.append(vec_mul_monomial(new[1], alg.mul_x, alg.dim))
-        work.append(vec_mul_monomial(new[1], alg.mul_y, alg.dim))
+        new = insert_reduced(rows, work.pop(), q)
+        if new is not None:
+            work.append(vec_mul_monomial(new[1], alg.mul_x, alg.dim))
+            work.append(vec_mul_monomial(new[1], alg.mul_y, alg.dim))
     return rows
 
 
@@ -126,7 +147,7 @@ class IdealRecord:
     @classmethod
     def from_generators(cls, generators, alg: LocalAlgebra, q: int) -> "IdealRecord":
         rows = close_under_multiplication(list(generators), alg, q)
-        return cls(basis=rref(rows, q), colength=alg.dim - len(rows))
+        return cls(basis=tuple(v for _, v in rows), colength=alg.dim - len(rows))
 
     def reclosed(self, alg: LocalAlgebra, q: int) -> "IdealRecord":
         """Closing an ideal again must be the identity (idempotence)."""
@@ -162,5 +183,5 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
             rows.append((free_region[row.index(1)], tuple(v)))
         rows.sort()
         if is_closed(rows, alg, q):
-            found.add(rref(rows, q))
+            found.add(tuple(v for _, v in rows))
     return found

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from motivecount import MotiveClass, ZERO
 from motivecount.atoms import grassmannian, hilb_p2, omega_locus, projective
-from motivecount.dsl import format_expr, parse
 from motivecount.oracle import (
     CURVES,
     count_grassmannian,
@@ -29,7 +28,7 @@ from motivecount.oracle import (
 )
 from motivecount.strata import DIMENSION, TARGETS, assemble, omega26_assembled
 
-from test_dsl import expr_trees
+from test_dsl import assert_roundtrip, expr_trees
 
 M41_TABLE = (1, 2, 6, 10, 14, 15, 16, 16, 16, 16, 16, 16, 15, 14, 10, 6, 2, 1)
 M51_TABLE = (1, 2, 6, 13, 26, 45, 68, 87, 100, 107, 111, 112, 113,
@@ -233,7 +232,7 @@ def test_criterion_10e_parser_roundtrip():
     @settings(max_examples=1000, deadline=None)
     @given(expr_trees())
     def run(tree):
-        assert parse(format_expr(tree)) == tree
+        assert_roundtrip(tree)
 
     run()
     _line("criterion 10e: parse/format round-trip (1000 cases)")

@@ -9,6 +9,7 @@ from motivecount.atoms import (
     AtomKind,
     affine,
     atom_class,
+    atom_degree,
     grassmannian,
     hilb_p2,
     linear_system,
@@ -140,3 +141,18 @@ def test_atom_kind_validation():
         AtomKind("grassmannian", (3, 2))
     assert atom_class(AtomKind("projective", (2,))) == projective(2)
     assert atom_class(AtomKind("omega_locus", (2, 6))) == omega_locus(2, 6)
+
+
+def test_atom_degree_is_the_class_degree():
+    """The degree read off the parameters equals the class's degree (an
+    upper bound for the Omega loci)."""
+    cases = ([("affine", (n,)) for n in range(6)] + [("projective", (n,)) for n in range(6)]
+             + [("grassmannian", (k, n)) for n in range(7) for k in range(n + 1)]
+             + [("hilb_p2", (n,)) for n in range(9)]
+             + [(kind, (d,)) for kind in ("linear_system", "universal_curve") for d in range(1, 7)])
+    for kind, args in cases:
+        atom = AtomKind(kind, args)
+        assert atom_degree(atom) == atom_class(atom).degree, atom
+    for args in ((1, 3), (2, 6)):
+        atom = AtomKind("omega_locus", args)
+        assert atom_degree(atom) >= atom_class(atom).degree

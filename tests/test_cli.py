@@ -2,12 +2,13 @@
 
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from motivecount.cli import main
-from motivecount.dsl import MAX_INT_DIGITS
+from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS
 
 
 def run(capsys, *argv):
@@ -74,6 +75,30 @@ def test_eval_arity_error(capsys):
     code, _, err = run(capsys, "eval", "Gr(5,2)")
     assert code == 2
     assert "ArityError" in err
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("Gr(1000,1000)", "bad atom parameters at offset 0: Gr(1000,1000) has a parameter over 200"),
+    ("Gr(200,200)", None),
+    ("Gr(100,200)", "expression too large at offset 0: degree 10000 is over 200"),
+    ("P99999999", "bad atom parameters at offset 0: P99999999 has a parameter over 200"),
+    ("Sym 200(P5)", "expression too large at offset 0: degree 1000 is over 200"),
+    ("Sym 201(1)", "expression too large at offset 4: Sym order 201 is over 200"),
+    ("L^201", "expression too large at offset 2: exponent 201 is over 200"),
+    ("1 + P100*P100*L", "expression too large at offset 4: degree 201 is over 200"),
+    ("(P2*P3)^41", "expression too large at offset 0: degree 205 is over 200"),
+], ids=["gr-param", "gr-degree-0", "gr-degree", "p-param", "sym-degree", "sym-order",
+        "exponent", "product", "power"])
+def test_eval_over_degree_cap_exits_2_fast(capsys, expr, message):
+    """Each input gets its answer or exit 2 within a second."""
+    assert MAX_DEGREE == 200
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", expr)
+    assert time.perf_counter() - start < 1.0
+    if message is None:
+        assert (code, err) == (0, "") and out.startswith("1\n")
+    else:
+        assert (code, out, err) == (2, "", f"ArityError: {message}\n")
 
 
 @pytest.mark.parametrize("expr", [

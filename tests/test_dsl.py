@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motivecount import L, MotiveClass, projective
-from motivecount.atoms import AtomKind
+from motivecount.atoms import AtomKind, atom_class
 from motivecount.dsl import (
+    MAX_DEGREE,
     MAX_INT_DIGITS,
     ArityError,
     Atom,
@@ -94,6 +95,28 @@ def test_arity_error():
     parse("Gr(2,2)")  # boundary is fine
 
 
+@pytest.mark.parametrize("source", [
+    "P200", "A200", "L^200", "Gr(14,28)", "Gr(200,200)", "Sym 40(P5)",
+    "Sym 200(1)", "Hilb8 * P184", "C(18) + Lin(18)", "(P100*P100)^1", "P1 - P200",
+    "Sym 2(Sym 10(P10))", "(1+1)^200",
+])
+def test_degree_cap_admits_degree_200(source):
+    assert evaluate(source).degree <= MAX_DEGREE
+
+
+@pytest.mark.parametrize("source,offset", [
+    ("P201", 0), ("2 * A201", 4), ("L^201", 2), ("Sym201(1)", 3), ("Gr(1,202)", 0),
+    ("Gr(15,30)", 0), ("Hilb201", 0), ("Lin(19)", 0), ("1 + C(19)", 4),
+    ("Omega(1,201)", 0), ("P100*P100*L", 0), ("(P100*P100*L)^0", 1),
+    ("(P2*P3)^41", 0), ("Sym 41(P5)", 0), ("1 - Sym 41(P5)", 4), ("Sym1(Sym 41(P5))", 5),
+    ("(1 + P100)*P101", 0), ("(1 - P100)*P101", 0), ("Sym 3(L - P100 + 1)", 0),
+])
+def test_degree_cap_rejects_at_the_node(source, offset):
+    with pytest.raises(ArityError) as err:
+        parse(source)
+    assert err.value.offset == offset
+
+
 def test_eval_examples():
     assert evaluate("P1 - 1") == L
     assert evaluate("Sym2(P2)") == MotiveClass((1, 1, 2, 1, 1))
@@ -164,6 +187,49 @@ def expr_trees(max_depth=4):
     return st.recursive(_atoms(), extend, max_leaves=12)
 
 
+def _max_node_degree(tree) -> int:
+    """Largest degree of any node, by the class degree of each atom (2n for
+    an Omega locus in Hilb n), 0 for a literal, the maximum over a sum or
+    difference, the sum over a product and k times the degree under ^k and
+    Sym k."""
+    nodes = []
+
+    def degree(e) -> int:
+        if isinstance(e, Atom):
+            d = (2 * e.kind.args[1] if e.kind.kind == "omega_locus"
+                 else atom_class(e.kind).degree)
+        elif isinstance(e, Lit):
+            d = 0
+        elif isinstance(e, Lefschetz):
+            d = 1
+        elif isinstance(e, Sum):
+            d = max(degree(t) for t in e.items)
+        elif isinstance(e, Diff):
+            d = max(degree(e.left), degree(e.right))
+        elif isinstance(e, Prod):
+            d = sum(degree(t) for t in e.items)
+        elif isinstance(e, Pow):
+            d = e.exponent * degree(e.base)
+        else:
+            d = e.order * degree(e.inner)
+        nodes.append(d)
+        return d
+
+    degree(tree)
+    return max(nodes)
+
+
+def assert_roundtrip(tree):
+    """parse(format_expr(tree)) == tree; a tree with a node over the degree
+    cap is rejected instead."""
+    source = format_expr(tree)
+    if _max_node_degree(tree) > MAX_DEGREE:
+        with pytest.raises(ArityError):
+            parse(source)
+    else:
+        assert parse(source) == tree
+
+
 @given(expr_trees())
 def test_parse_format_roundtrip(tree):
-    assert parse(format_expr(tree)) == tree
+    assert_roundtrip(tree)

@@ -29,7 +29,7 @@ from motivecount.oracle import (
 )
 from motivecount.oracle import _pure
 from motivecount.oracle.counting import MAX_SWEEP
-from motivecount.oracle.ideals import close_under_multiplication, rref
+from motivecount.oracle.ideals import close_under_multiplication, insert_reduced, rref
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -223,7 +223,10 @@ def test_principal_closure_is_span_of_monomial_multiples(curve, q, maxc):
         alg = truncated_algebra(curve, c)
         for f in itertools.product(range(q), repeat=alg.dim):
             expected = _span_rref([_monomial_multiple(f, m, alg, q) for m in alg.monomials], q)
-            assert rref(close_under_multiplication([f], alg, q), q) == expected, (curve, c, q, f)
+            rows = close_under_multiplication([f], alg, q)
+            assert rref(rows, q) == expected, (curve, c, q, f)
+            # the closure is built already reduced: its rows are the canonical form
+            assert tuple(v for _, v in rows) == expected, (curve, c, q, f)
 
 
 @pytest.mark.parametrize("curve", CURVES)
@@ -242,6 +245,48 @@ def test_a_unit_generates_the_whole_algebra(curve):
     identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
     assert rref(close_under_multiplication([x, unit, y2], alg, 3), 3) == identity
     assert IdealRecord.from_generators([unit], alg, 3).colength == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_scalar_representatives_cover_each_class_once(q):
+    """One representative per class v ~ cv (c a nonzero scalar); at q = 2
+    that is every vector."""
+    for dim in range(1, 6):
+        reps = list(_pure.scalar_representatives(dim, q))
+        assert len(reps) == len(set(reps)) == 1 + (q ** dim - 1) // (q - 1)
+        for v in itertools.product(range(q), repeat=dim):
+            scaled = {tuple((c * a) % q for a in v) for c in range(1, q)}
+            assert len(scaled.intersection(reps)) == 1, (dim, v)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_principal_closures_match_a_sweep_of_every_element(curve):
+    """Sweeping one element per scalar class finds every principal ideal
+    that a sweep of all q^dim elements finds, at q = 3."""
+    for c in range(1, 4):
+        alg = truncated_algebra(curve, c)
+        every = {rref(close_under_multiplication([f], alg, 3), 3)
+                 for f in itertools.product(range(3), repeat=alg.dim)}
+        closures = _pure.principal_closures(alg, 3)
+        assert set(closures) == every, (curve, c)
+        assert all(key == tuple(v for _, v in rows) for key, rows in closures.items())
+
+
+def test_insert_reduced_keeps_reduced_echelon_form():
+    rng = random.Random(7)
+    for trial in range(200):
+        q, dim = rng.choice((2, 3)), rng.randint(1, 8)
+        rows, inserted = [], []
+        for _ in range(rng.randint(1, dim + 2)):
+            v = tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(dim))
+            before = len(rows)
+            new = insert_reduced(rows, v, q)
+            inserted.append(v)
+            assert (new is None) == (len(rows) == before), (trial, v)
+            assert [p for p, _ in rows] == sorted({p for p, _ in rows}), trial
+            assert all(next(i for i, c in enumerate(r) if c) == p and r[p] == 1
+                       for p, r in rows), trial
+            assert tuple(r for _, r in rows) == rref(rows, q) == _span_rref(inserted, q), trial
 
 
 def test_order_independence(monkeypatch):
