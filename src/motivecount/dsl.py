@@ -25,12 +25,22 @@ product adds, X^k and Sym k(X) multiply by k.  An atom parameter, exponent
 or Sym order over ``MAX_DEGREE``, or a node of degree over ``MAX_DEGREE``,
 is an :class:`ArityError` at that node's offset, so evaluation time stays
 bounded.
+
+Each node also gets a bound on the l1 norm of its class, the sum of the
+absolute values of its coefficients: n for a literal, 1 for L, 4^degree
+for an atom; a sum or difference adds its operands' bounds, a product
+multiplies them, X^k raises X's to the k-th power, and Sym k(X) with X's
+bound N takes C(N + k - 1, k), the value at L = 1 of the symmetric power of
+an effective class of norm N.  A node whose bound is over ``MAX_NORM`` is an
+:class:`ArityError` at its offset, so every coefficient and Euler number
+has at most ``MAX_INT_DIGITS`` digits, like an integer literal.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Union
 
 from .atoms import AtomKind, atom_class, atom_degree
@@ -50,7 +60,8 @@ class ParseError(ValueError):
 
 class ArityError(ValueError):
     """Structurally valid expression with ill-formed atom parameters (e.g.
-    Gr(3,2)), or with a number or degree over :data:`MAX_DEGREE`."""
+    Gr(3,2)), with a number or degree over :data:`MAX_DEGREE`, or with a
+    coefficient bound over :data:`MAX_NORM`."""
 
     def __init__(self, offset: int, message: str, what: str = "bad atom parameters"):
         self.offset = offset
@@ -130,6 +141,10 @@ _KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, t in SYNTAX.items()}
 #: conversion, below Python's 4300-digit limit on int() of a string
 MAX_INT_DIGITS = 1000
 
+#: largest l1-norm bound of any node: every coefficient then has at most
+#: MAX_INT_DIGITS digits
+MAX_NORM = 10 ** MAX_INT_DIGITS - 1
+
 _PRIMARY_START = (("'L'",) + tuple(f"'{word}'" for word in _KEYWORDS)
                   + ("'Sym'", "integer", "'('"))
 
@@ -190,6 +205,12 @@ class _Parser:
                              "expression too large")
         return degree
 
+    def _bound(self, offset: int, norm: int) -> int:
+        if norm > MAX_NORM:
+            raise ArityError(offset, f"a coefficient may have more than {MAX_INT_DIGITS} digits",
+                             "expression too large")
+        return norm
+
     def _multiplier(self, what: str) -> int:
         """An exponent or Sym order, at most MAX_DEGREE."""
         offset = self._peek().offset
@@ -198,21 +219,23 @@ class _Parser:
             raise ArityError(offset, f"{what} {n} is over {MAX_DEGREE}", "expression too large")
         return n
 
-    # each rule below returns the node and its degree bound
+    # each rule below returns the node, its degree bound and its norm bound
 
     def parse(self) -> VarietyExpr:
-        e, _ = self.expr()
+        e, _, _ = self.expr()
         t = self._peek()
         if t.kind != "EOF":
             raise ParseError(t.offset, ("'+'", "'-'", "'*'", "'^'", "end of input"), t.text)
         return e
 
-    def expr(self) -> tuple[VarietyExpr, int]:
-        acc, degree = self.term()
+    def expr(self) -> tuple[VarietyExpr, int, int]:
+        offset = self._peek().offset
+        acc, degree, norm = self.term()
         while self._peek().kind in "+-":
             op = self._take().kind
-            rhs, rhs_degree = self.term()
+            rhs, rhs_degree, rhs_norm = self.term()
             degree = max(degree, rhs_degree)
+            norm = self._bound(offset, norm + rhs_norm)
             if op == "+":
                 if isinstance(acc, Sum):
                     acc = Sum(acc.items + (rhs,))
@@ -220,32 +243,35 @@ class _Parser:
                     acc = Sum((acc, rhs))
             else:
                 acc = Diff(acc, rhs)
-        return acc, degree
+        return acc, degree, norm
 
-    def term(self) -> tuple[VarietyExpr, int]:
+    def term(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset
-        item, degree = self.factor()
+        item, degree, norm = self.factor()
         items = [item]
         while self._peek().kind == "*":
             self._take()
-            item, item_degree = self.factor()
+            item, item_degree, item_norm = self.factor()
             items.append(item)
             degree = self._cap(offset, degree + item_degree)
-        return (items[0] if len(items) == 1 else Prod(tuple(items))), degree
+            norm = self._bound(offset, norm * item_norm)
+        return (items[0] if len(items) == 1 else Prod(tuple(items))), degree, norm
 
-    def factor(self) -> tuple[VarietyExpr, int]:
+    def factor(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset
-        base, degree = self.primary()
+        base, degree, base_norm = self.primary()
         if self._peek().kind == "^":
             self._take()
             k = self._multiplier("exponent")
-            return Pow(base, k), self._cap(offset, k * degree)
-        return base, degree
+            degree = self._cap(offset, k * degree)
+            return Pow(base, k), degree, self._bound(offset, base_norm ** k)
+        return base, degree, base_norm
 
-    def primary(self) -> tuple[VarietyExpr, int]:
+    def primary(self) -> tuple[VarietyExpr, int, int]:
         t = self._peek()
         if t.kind == "INT":
-            return Lit(self._int()), 0
+            value = self._int()
+            return Lit(value), 0, value
         if t.kind == "(":
             self._take()
             e = self.expr()
@@ -255,13 +281,15 @@ class _Parser:
             raise ParseError(t.offset, _PRIMARY_START, t.text or "end of input")
         word = self._take()
         if word.text == "L":
-            return Lefschetz(), 1
+            return Lefschetz(), 1, 1
         if word.text == "Sym":
             order = self._multiplier("Sym order")
             self._expect("(", ("'('",))
-            inner, degree = self.expr()
+            inner, degree, inner_norm = self.expr()
             self._expect(")", ("')'",))
-            return Sym(order, inner), self._cap(word.offset, order * degree)
+            degree = self._cap(word.offset, order * degree)
+            norm = comb(inner_norm + order - 1, order) if order else 1
+            return Sym(order, inner), degree, self._bound(word.offset, norm)
         kind = _KEYWORDS.get(word.text)
         if kind is None:
             raise ParseError(word.offset, _PRIMARY_START, word.text)
@@ -272,7 +300,11 @@ class _Parser:
             raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} has a parameter "
                                           f"over {MAX_DEGREE}")
         atom = AtomKind(kind, args)
-        return Atom(atom), self._cap(word.offset, atom_degree(atom))
+        degree = self._cap(word.offset, atom_degree(atom))
+        # every atom's class has nonnegative coefficients summing to its
+        # value at L = 1, which is at most 4^degree: C(n,k) for Gr(k,n), at
+        # most 4^n for Hilb n; within the degree cap that is under MAX_NORM
+        return Atom(atom), degree, 4 ** degree
 
     def _args(self, shape: str) -> tuple[int, ...]:
         """The integer parameters along a template's text after its keyword,

@@ -6,8 +6,8 @@ q^dim of them), and sums the distinct principal ideals pairwise.  Every
 basis is built already in reduced echelon form, so it is its own canonical
 key.
 
-A punctual count whose algebra has more than :data:`MAX_SWEEP` elements
-raises :class:`BudgetExceeded`.  The limit admits every tabulated cell at q = 2
+A punctual count whose sweep would visit more than :data:`MAX_SWEEP`
+elements raises :class:`BudgetExceeded`.  The limit admits every tabulated cell at q = 2
 (colength up to 6) and at q = 3 up to colength 4.  A counter asked for a
 field size it does not support raises :class:`~motivecount.atoms.Unsupported`.
 Every comparison goes through :func:`run_bridge`, which reports both as a
@@ -31,16 +31,16 @@ from .gf import projective_plane_count
 from .ideals import IdealRecord, reduced_echelon_forms
 from .tables import MAX_COLENGTH, expected_class
 
-#: largest algebra, q^dim elements, one punctual count may sweep: q=2
-#: colength 6 has 2^13 elements and q=3 colength 4 has 3^9; q=3 colength 5
-#: has 3^11, and its cells took 1.2-1.6 s each, against 3.4-3.9 s before the
-#: sweep took one element per scalar class (Python 3.11, one core of a
-#: 2-vCPU Xeon VM)
-MAX_SWEEP = 3 ** 9
+#: most elements, one per scalar class, 1 + (q^dim - 1)/(q - 1), that one
+#: punctual count may sweep: q=2 colength 6 sweeps 2^13 = 8192 and q=3
+#: colength 4 sweeps 9842; q=3 colength 5 sweeps 88574, and its cells took
+#: 1.2-1.6 s each (Python 3.11, one core of a 2-vCPU Xeon VM)
+MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
 
 
 class BudgetExceeded(RuntimeError):
-    """Punctual count whose algebra size, q^dim, exceeds :data:`MAX_SWEEP`."""
+    """Punctual count whose sweep, one element per scalar class of the
+    algebra, exceeds :data:`MAX_SWEEP` elements."""
 
 
 # -- punctual ideals -----------------------------------------------------------
@@ -56,11 +56,11 @@ def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealReco
         raise Unsupported(f"{curve} colength {colength} at q={q}: "
                           f"punctual counting supports q in (2, 3)")
     alg = truncated_algebra(curve, colength)
-    sweep = q ** alg.dim
+    sweep = 1 + (q ** alg.dim - 1) // (q - 1)
     if sweep > MAX_SWEEP:
         raise BudgetExceeded(
-            f"{curve} colength {colength} at q={q}: sweeps {sweep} elements "
-            f"(at most {MAX_SWEEP})")
+            f"{curve} colength {colength} at q={q}: sweeps {sweep} elements, "
+            f"one per scalar class (at most {MAX_SWEEP})")
     records = _pure.enumerate_ideals(alg, q, colength)
     return tuple(IdealRecord.from_rows(basis, alg, q) for basis in records)
 

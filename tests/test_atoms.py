@@ -145,7 +145,8 @@ def test_atom_kind_validation():
 
 def test_atom_degree_is_the_class_degree():
     """The degree read off the parameters equals the class's degree (an
-    upper bound for the Omega loci)."""
+    upper bound for the Omega loci).  Every class is effective with its
+    coefficients summing to at most 4^degree, the parser's norm bound."""
     cases = ([("affine", (n,)) for n in range(6)] + [("projective", (n,)) for n in range(6)]
              + [("grassmannian", (k, n)) for n in range(7) for k in range(n + 1)]
              + [("hilb_p2", (n,)) for n in range(9)]
@@ -156,3 +157,8 @@ def test_atom_degree_is_the_class_degree():
     for args in ((1, 3), (2, 6)):
         atom = AtomKind("omega_locus", args)
         assert atom_degree(atom) >= atom_class(atom).degree
+        cases.append(("omega_locus", args))
+    for kind, args in cases:
+        atom = AtomKind(kind, args)
+        cls = atom_class(atom)
+        assert cls.is_effective() and sum(cls.coeffs) <= 4 ** atom_degree(atom), atom

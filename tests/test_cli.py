@@ -77,6 +77,10 @@ def test_eval_arity_error(capsys):
     assert "ArityError" in err
 
 
+TOO_LONG = "expression too large"
+DIGITS = f"a coefficient may have more than {MAX_INT_DIGITS} digits"
+
+
 @pytest.mark.parametrize("expr,message", [
     ("Gr(1000,1000)", "bad atom parameters at offset 0: Gr(1000,1000) has a parameter over 200"),
     ("Gr(200,200)", None),
@@ -87,8 +91,12 @@ def test_eval_arity_error(capsys):
     ("L^201", "expression too large at offset 2: exponent 201 is over 200"),
     ("1 + P100*P100*L", "expression too large at offset 4: degree 201 is over 200"),
     ("(P2*P3)^41", "expression too large at offset 0: degree 205 is over 200"),
+    ("((2^200)^200)^200", f"{TOO_LONG} at offset 1: {DIGITS}"),
+    ("(((2^200)^200)^200)^200", f"{TOO_LONG} at offset 2: {DIGITS}"),
+    ("Sym 200(Sym 200(Sym 200(2)))", f"{TOO_LONG} at offset 0: {DIGITS}"),
 ], ids=["gr-param", "gr-degree-0", "gr-degree", "p-param", "sym-degree", "sym-order",
-        "exponent", "product", "power"])
+        "exponent", "product", "power", "power-of-power", "power-of-power-of-power",
+        "sym-of-sym"])
 def test_eval_over_degree_cap_exits_2_fast(capsys, expr, message):
     """Each input gets its answer or exit 2 within a second."""
     assert MAX_DEGREE == 200
@@ -99,6 +107,36 @@ def test_eval_over_degree_cap_exits_2_fast(capsys, expr, message):
         assert (code, err) == (0, "") and out.startswith("1\n")
     else:
         assert (code, out, err) == (2, "", f"ArityError: {message}\n")
+
+
+NINES = "9" * MAX_INT_DIGITS
+
+
+@pytest.mark.parametrize("expr,offset", [
+    ("(2^200)^17", 0),
+    ("1+" + NINES, 0),
+    ("P1*(L-" + NINES + ")", 4),
+    (NINES + "*2", 0),
+    ("Sym2(" + NINES + ")", 0),
+], ids=["power", "sum", "difference", "product", "sym"])
+def test_eval_coefficient_over_literal_limit_exits_2(capsys, expr, offset):
+    """A coefficient may have as many digits as an integer literal, no more."""
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out, err) == (2, "", f"ArityError: {TOO_LONG} at offset {offset}: {DIGITS}\n")
+
+
+@pytest.mark.parametrize("expr,largest", [
+    ("(2^200)^16", 2 ** 3200),
+    (NINES + "*L", int(NINES)),
+    ("Sym2(" + "9" * (MAX_INT_DIGITS // 2 - 1) + ")", None),
+], ids=["power", "product", "sym"])
+def test_eval_coefficient_at_literal_limit(capsys, expr, largest):
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, err) == (0, "")
+    coeffs = json.loads(out.splitlines()[1].removeprefix("coeffs: "))
+    assert len(str(max(coeffs))) <= MAX_INT_DIGITS
+    if largest is not None:
+        assert max(coeffs) == largest
 
 
 @pytest.mark.parametrize("expr", [
@@ -247,12 +285,14 @@ def test_oracle_budget_skip(capsys):
                          "--max-colength", "5")
     assert code == 0  # cells over the sweep limit are skipped, not failed
     rows = out.splitlines()[1:]
-    # colengths 1-4 sweep at most 3^9 elements; colength 5 (3^11) skips
+    # colengths 1-4 sweep at most 9842 elements; colength 5 (88574) skips
     assert sum(",skip," in row for row in rows) == 2
     assert sum(",pass," in row for row in rows) == 8
     assert "punctual,3,node:5,,13,skip," in out
-    assert "skip node colength 5 at q=3: sweeps 177147 elements (at most 19683)\n" in err
-    assert "skip ribbon colength 5 at q=3: sweeps 177147 elements (at most 19683)\n" in err
+    assert ("skip node colength 5 at q=3: sweeps 88574 elements, one per scalar class "
+            "(at most 9842)\n") in err
+    assert ("skip ribbon colength 5 at q=3: sweeps 88574 elements, one per scalar class "
+            "(at most 9842)\n") in err
 
 
 def test_oracle_bridges_unsupported_q_skips(capsys):

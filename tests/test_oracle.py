@@ -29,7 +29,7 @@ from motivecount.oracle import (
 )
 from motivecount.oracle import _pure
 from motivecount.oracle.counting import MAX_SWEEP
-from motivecount.oracle.ideals import close_under_multiplication, insert_reduced, rref
+from motivecount.oracle.ideals import close_under_multiplication, insert_reduced, is_closed, rref
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -51,6 +51,57 @@ def test_reduced_echelon_forms_are_distinct():
     assert len(forms) == len(set(forms)) == 35
     for mat in forms:
         assert len(mat) == 2 and all(len(row) == 4 for row in mat)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_reduced_echelon_forms_are_the_spans(q):
+    """The forms are exactly the reduced spans of all k-tuples of vectors of
+    rank k, built up one vector at a time and each reduced by Gauss-Jordan
+    elimination."""
+    for n in range(5):
+        vectors = list(itertools.product(range(q), repeat=n))
+        spans = {()}
+        for k in range(n + 1):
+            forms = list(reduced_echelon_forms(k, n, q))
+            assert len(forms) == len(set(forms)) == grassmannian(k, n).evaluate(q), (k, n)
+            assert set(forms) == spans, (k, n)
+            spans = {_span_rref(span + (v,), q) for span in spans for v in vectors}
+            spans = {span for span in spans if len(span) == k + 1}
+
+
+def _nested_loop_forms(k, n, q):
+    """The enumeration order of the forms: pivot sets in lexicographic
+    order, then the free cells, row by row, with the last cell fastest."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        for assign in itertools.product(range(q), repeat=len(free)):
+            mat = [[int(j == p) for j in range(n)] for p in pivots]
+            for (i, j), val in zip(free, assign):
+                mat[i][j] = val
+            yield tuple(tuple(row) for row in mat)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_reduced_echelon_forms_order(q):
+    for n in range(6 if q < 4 else 5):
+        for k in range(n + 1):
+            assert list(reduced_echelon_forms(k, n, q)) == list(_nested_loop_forms(k, n, q))
+
+
+@pytest.mark.parametrize("columns,width", [((0, 2, 3), 5), ((1, 2, 4, 6), 7), ((), 2)])
+def test_reduced_echelon_forms_placed_in_columns(columns, width):
+    def embed(row):
+        out = [0] * width
+        for col, c in zip(columns, row):
+            out[col] = c
+        return tuple(out)
+
+    for q in (2, 3):
+        for k in range(len(columns) + 1):
+            placed = list(reduced_echelon_forms(k, width, q, columns))
+            assert placed == [tuple(embed(row) for row in form)
+                              for form in reduced_echelon_forms(k, len(columns), q)]
 
 
 def test_count_grassmannian_values():
@@ -156,8 +207,8 @@ def test_two_generator_assumption_exhaustive():
     generator assumption, at both field sizes, and for the defect-critical
     cell."""
     cells = {
-        2: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4)] + [("ribbon", 5)],
-        3: [(curve, c) for curve in CURVES for c in (1, 2, 3)],
+        2: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4, 5)],
+        3: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4)],
     }
     for q, q_cells in cells.items():
         for curve, c in q_cells:
@@ -165,6 +216,19 @@ def test_two_generator_assumption_exhaustive():
             exhaustive = enumerate_closed_subspaces(alg, q, c)
             reachable = {r.basis for r in punctual_ideal_records(curve, c, q)}
             assert exhaustive == reachable, (curve, c, q)
+
+
+@pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2)])
+def test_closed_subspaces_match_every_subspace_tested(q, maxc):
+    """The sweep, which varies only the middle degrees and tests only their
+    rows, finds the same subspaces as testing every subspace of the right
+    dimension for closure."""
+    for curve in CURVES:
+        for c in range(1, maxc + 1):
+            alg = truncated_algebra(curve, c)
+            reference = {form for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
+                         if is_closed([(v.index(1), v) for v in form], alg, q)}
+            assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
 
 
 def test_ideal_records_are_canonical_and_idempotent():
@@ -305,14 +369,20 @@ def test_order_independence(monkeypatch):
 # -- sweep limit and results -------------------------------------------------------
 
 def test_budget_exceeded(monkeypatch):
-    # the four tabulated cells over the limit: q=3 colength 5 sweeps 3^11
-    # elements and colength 6 sweeps 3^13; each raises before any sweep
+    # the largest cells under the limit: q=2 colength 6 sweeps 2^13 elements
+    # and q=3 colength 4 sweeps 1 + (3^9 - 1)/2
+    assert 1 + (2 ** truncated_algebra("node", 6).dim - 1) == 8192 < MAX_SWEEP
+    assert 1 + (3 ** truncated_algebra("node", 4).dim - 1) // 2 == 9842 == MAX_SWEEP
+    # the four tabulated cells over the limit: q=3 colength 5 sweeps
+    # 1 + (3^11 - 1)/2 elements and colength 6 sweeps 1 + (3^13 - 1)/2; each
+    # raises before any sweep
     monkeypatch.setattr(_pure, "principal_closures", None)
     for curve in CURVES:
-        for colength, sweep in ((5, 3 ** 11), (6, 3 ** 13)):
-            assert 3 ** truncated_algebra(curve, colength).dim == sweep > MAX_SWEEP
+        for colength, sweep in ((5, 88574), (6, 797162)):
+            assert 1 + (3 ** truncated_algebra(curve, colength).dim - 1) // 2 == sweep > MAX_SWEEP
             with pytest.raises(BudgetExceeded, match=rf"^{curve} colength {colength} at q=3: "
-                                                     rf"sweeps {sweep} elements \(at most 19683\)$"):
+                                                     rf"sweeps {sweep} elements, one per scalar "
+                                                     rf"class \(at most 9842\)$"):
                 count_punctual_ideals(curve, colength, 3)
 
 
@@ -334,7 +404,8 @@ def test_total_vs_table_rows():
     assert (bad.count, bad.expected) == (7, 9)
     skipped = count_punctual_total_vs_table("node", 5, 3)
     assert skipped.skipped and skipped.status == "skip" and skipped.count is None
-    assert skipped.reason == "node colength 5 at q=3: sweeps 177147 elements (at most 19683)"
+    assert skipped.reason == ("node colength 5 at q=3: sweeps 88574 elements, "
+                              "one per scalar class (at most 9842)")
 
 
 def test_results_csv():
