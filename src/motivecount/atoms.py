@@ -2,7 +2,7 @@
 
 Every constructor returns a :class:`~motivecount.motive.MotiveClass`.  The
 Grassmannian and Hilbert-scheme classes are derived (Gaussian binomial,
-generating function) rather than hard-coded; the two supported curve-locus
+power structure) rather than hard-coded; the two supported curve-locus
 classes inside the Hilbert scheme are pinned constants, certified elsewhere.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .motive import MotiveClass, lefschetz_power
+from .motive import MotiveClass, lefschetz_power, power_exp
 
 HILB_MAX = 8
 
@@ -78,25 +78,16 @@ def grassmannian(k: int, n: int) -> MotiveClass:
 def hilb_p2(n: int) -> MotiveClass:
     """Class of the Hilbert scheme of n points on the projective plane.
 
-    Expanded from the cell-count generating function
-    prod_{m>=1} 1/((1 - L^(m-1) t^m)(1 - L^m t^m)(1 - L^(m+1) t^m)),
-    truncated at order n.  Only n <= 8 is enabled; the computations here
-    need n in {1, 2, 3, 6}.
+    The t^n coefficient of Goettsche's generating function
+    Exp([P^2] t / (1 - L t)) = Exp(sum_m [P^2] L^(m-1) t^m), by
+    :func:`~motivecount.motive.power_exp`.  Only n <= 8 is enabled; the
+    computations here need n in {1, 2, 3, 6}.
     """
     if n < 0:
         raise ValueError("number of points must be >= 0")
     if n > HILB_MAX:
         raise OutOfRange(f"hilb_p2 implemented for n <= {HILB_MAX}, got {n}")
-    # series[k] = t^k coefficient, truncated at t^n
-    series = [MotiveClass((1,))] + [MotiveClass() for _ in range(n)]
-    for m in range(1, n + 1):
-        for w in (m - 1, m, m + 1):
-            # multiply by the geometric series in L^w t^m
-            for k in range(m, n + 1):
-                # ascending k sees the already-updated k-m term, which is
-                # exactly the geometric-series recursion
-                series[k] = series[k] + series[k - m] * lefschetz_power(w)
-    return series[n]
+    return power_exp([projective(2) * lefschetz_power(m - 1) for m in range(1, n + 1)], n)
 
 
 def linear_system(d: int) -> MotiveClass:

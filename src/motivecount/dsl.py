@@ -130,8 +130,8 @@ SYNTAX = {
 }
 
 #: largest degree of any node, and largest atom parameter, exponent and Sym
-#: order; the slowest admitted expressions found, such as Sym 100(P2), take
-#: under half a second (Python 3.11, one core of a 2-vCPU Xeon VM)
+#: order; the slowest admitted expressions found, such as Sym 200(1872486*P1),
+#: take under a second (Python 3.11, one core of a 2-vCPU Xeon VM)
 MAX_DEGREE = 200
 
 #: atom kind by its template's leading keyword

@@ -9,8 +9,7 @@ to be effective.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class DivisionNotExact(ArithmeticError):
@@ -195,31 +194,15 @@ class MotiveClass:
         return all(c >= 0 for c in self._coeffs)
 
     def sym_power(self, n: int) -> "MotiveClass":
-        """n-th symmetric power, via the multiplicative zeta rule.
-
-        For a cell-built class sum(c_i L^i) with c_i >= 0 the zeta series is
-        prod_i (1 - L^i t)^(-c_i), and the n-th symmetric power is its t^n
-        coefficient.  The rule is only justified for effective classes, so a
-        negative coefficient raises :class:`NotEffective` instead of silently
-        extending it.
-        """
+        """n-th symmetric power: the t^n coefficient of Exp(X t), by
+        :func:`power_exp`.  The zeta rule behind it is only justified for
+        effective classes, so a negative coefficient raises
+        :class:`NotEffective` instead of silently extending it."""
         if n < 0:
             raise ValueError("symmetric power order must be >= 0")
         if not self.is_effective():
             raise NotEffective(f"non-effective class {self} has no zeta expansion here")
-        # series[k] = coefficient of t^k, a MotiveClass; truncated at t^n
-        series = [MotiveClass((1,))] + [MotiveClass() for _ in range(n)]
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            # (1 - L^i t)^(-c) = sum_k C(k+c-1, c-1) L^(i k) t^k
-            factor = [comb(k + c - 1, c - 1) * lefschetz_power(i * k)
-                      for k in range(n + 1)]
-            series = [
-                sum((series[j] * factor[k - j] for j in range(k + 1)), MotiveClass())
-                for k in range(n + 1)
-            ]
-        return series[n]
+        return power_exp((self,), n)
 
     # -- presentation --------------------------------------------------------
 
@@ -245,6 +228,37 @@ class MotiveClass:
 
     def __repr__(self) -> str:
         return f"MotiveClass({self._coeffs!r})"
+
+
+def power_exp(terms: Sequence[MotiveClass], n: int) -> MotiveClass:
+    """The t^n coefficient of the power-structure exponential
+    Exp(sum_m terms[m-1] t^m), where Exp(L^i t^m) = 1/(1 - L^i t^m) and Exp
+    turns sums into products.  By Newton's identity m F_m = sum_k B_k F_(m-k),
+    where B_k = sum_(d | k) d psi_(k/d)(terms[d-1]) and the Adams operation
+    psi_j sends L^i to L^(ij); a division by m that is not exact raises
+    :class:`DivisionNotExact`."""
+    if n < 0:
+        raise ValueError("series order must be >= 0")
+    # adams[k]: the exponents and coefficients of B_k
+    adams: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for d, term in enumerate(terms[:n], 1):
+        for j in range(1, n // d + 1):
+            b = adams[d * j]
+            for i, c in enumerate(term.coeffs):
+                if c:
+                    b[i * j] = b.get(i * j, 0) + d * c
+    series = [[1]]  # series[m]: the coefficient list of F_m
+    for m in range(1, n + 1):
+        acc = [0] * max((max(adams[k]) + len(series[m - k])
+                         for k in range(1, m + 1) if adams[k]), default=0)
+        for k in range(1, m + 1):
+            for e, c in adams[k].items():
+                for i, a in enumerate(series[m - k], e):
+                    acc[i] += c * a
+        if any(a % m for a in acc):
+            raise DivisionNotExact(f"{MotiveClass(acc)} is not divisible by {m}")
+        series.append([a // m for a in acc])
+    return MotiveClass(series[n])
 
 
 def lefschetz_power(n: int) -> MotiveClass:

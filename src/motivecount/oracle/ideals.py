@@ -93,19 +93,6 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     return rows
 
 
-def rref(rows: list[Row], q: int) -> tuple[Vector, ...]:
-    """Full reduced echelon form, rows sorted by pivot: the canonical form."""
-    rows = sorted(rows)
-    mat = [list(v) for _, v in rows]
-    pivots = [p for p, _ in rows]
-    for j, pj in enumerate(pivots):
-        for i in range(len(mat)):
-            if i != j and mat[i][pj]:
-                c = mat[i][pj]
-                mat[i] = [(a - c * b) % q for a, b in zip(mat[i], mat[j])]
-    return tuple(tuple(r) for r in mat)
-
-
 def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
     """Whether the span of an echelon basis, rows sorted by pivot, is closed
     under multiplication by x and by y, i.e. is an ideal."""
@@ -147,12 +134,17 @@ class IdealRecord:
 
     @classmethod
     def from_rows(cls, basis: tuple[Vector, ...], alg: LocalAlgebra, q: int) -> "IdealRecord":
-        """Wrap an enumerated echelon basis, checking the ideal property: the
-        spanned subspace must be closed under multiplication by x and by y."""
-        rows = [(next(i for i, c in enumerate(v) if c), v) for v in basis]
-        if not is_closed(rows, alg, q):
+        """Wrap an enumerated basis, checking that it is a reduced echelon
+        basis and that its span is closed under multiplication by x and y."""
+        pivots = [next((i for i, c in enumerate(v) if c), -1) for v in basis]
+        # each pivot column is the unit column of its row, pivots ascending
+        if pivots != sorted(set(pivots)) or not all(
+                p >= 0 and [w[p] for w in basis] == [int(s == r) for s in range(len(basis))]
+                for r, p in enumerate(pivots)):
+            raise ValueError(f"basis not in reduced echelon form: {basis}")
+        if not is_closed(list(zip(pivots, basis)), alg, q):
             raise ValueError(f"basis not closed under multiplication: {basis}")
-        return cls(basis=rref(rows, q), colength=alg.dim - len(basis))
+        return cls(basis=basis, colength=alg.dim - len(basis))
 
     @classmethod
     def from_generators(cls, generators, alg: LocalAlgebra, q: int) -> "IdealRecord":

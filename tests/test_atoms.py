@@ -79,6 +79,25 @@ def partition_cubed_coefficient(n: int) -> int:
     return series[n]
 
 
+def _hilb_geometric_series(n: int) -> MotiveClass:
+    """Hilb^n(P^2) from the cell-count product
+    prod_(m >= 1) 1/((1 - L^(m-1) t^m)(1 - L^m t^m)(1 - L^(m+1) t^m)),
+    one geometric series at a time, truncated at t^n."""
+    series = [MotiveClass((1,))] + [MotiveClass() for _ in range(n)]
+    for m in range(1, n + 1):
+        for w in (m - 1, m, m + 1):
+            # ascending k sees the already-updated k - m term, which is
+            # exactly the geometric-series recursion
+            for k in range(m, n + 1):
+                series[k] = series[k] + series[k - m] * MotiveClass((0,) * w + (1,))
+    return series[n]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hilb_matches_the_geometric_series_product(n):
+    assert hilb_p2(n) == _hilb_geometric_series(n)
+
+
 def test_hilb_examples():
     assert hilb_p2(0) == MotiveClass((1,))
     assert hilb_p2(1) == MotiveClass((1, 1, 1))

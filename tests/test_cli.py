@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import io
 import json
 import shlex
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motivecount.cli import main
 from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS
@@ -56,6 +59,34 @@ def test_eval_syntax_error(capsys):
 def test_eval_bad_input_exits_2(capsys, expr, err):
     code, out, got = run(capsys, "eval", expr)
     assert (code, out, got) == (2, "", err)
+
+
+_DSL_TOKENS = st.one_of(
+    st.sampled_from(["L", "A", "P", "Gr", "Hilb", "Lin", "C", "Omega", "Sym",
+                     "(", ")", ",", "+", "-", "*", "^", " "]),
+    st.integers(0, 250).map(str),
+)
+
+_EVAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789LAPGrHilbnCOmegaSy(),+-*^\u00b2x ", max_size=30),
+    st.lists(_DSL_TOKENS, max_size=12).map(lambda tokens: "".join(tokens)[:30]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVAL_TEXT)
+def test_eval_any_text_exits_0_1_or_2(text):
+    """Every input gets an answer or exit 2 with a message, never a
+    traceback.  A leading '-' may be read as an option, and argparse then
+    exits 2 itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["eval", text])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (text, code)
+    assert bool(out.getvalue()) == (code == 0) and bool(err.getvalue()) == (code == 2), text
 
 
 @pytest.mark.parametrize("expr,offset", [

@@ -1,10 +1,13 @@
 """Ring arithmetic in Z[L]: examples and edge cases."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motivecount import L, ONE, ZERO, DivisionNotExact, MotiveClass, NotEffective
 from motivecount.atoms import projective
+from motivecount.motive import power_exp
 
 
 def test_construction_trims_trailing_zeros():
@@ -102,6 +105,44 @@ def test_sym_power_requires_effective():
         MotiveClass((1, -1)).sym_power(2)
     with pytest.raises(ValueError):
         ONE.sym_power(-1)
+
+
+def _cell_histogram(coeffs, n):
+    """Sym^n by counting: a class sum(c_i L^i) has c_i cells of weight i,
+    and each multiset of n cells adds L^(sum of its weights)."""
+    cells = [i for i, c in enumerate(coeffs) for _ in range(c)]
+    hist = [0] * (n * len(coeffs) + 1)
+    for multiset in itertools.combinations_with_replacement(cells, n):
+        hist[sum(multiset)] += 1
+    return MotiveClass(hist)
+
+
+def test_sym_power_counts_multisets_of_cells():
+    for degree in range(4):
+        for coeffs in itertools.product(range(3), repeat=degree + 1):
+            for n in range(7):
+                assert MotiveClass(coeffs).sym_power(n) == _cell_histogram(coeffs, n), (coeffs, n)
+
+
+effective_classes = st.builds(MotiveClass, st.lists(st.integers(0, 4), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(effective_classes, effective_classes, st.integers(0, 8))
+def test_sym_power_of_a_sum(x, y, n):
+    """Sym^n(X + Y) = sum_i Sym^i(X) Sym^(n-i)(Y)."""
+    assert (x + y).sym_power(n) == sum(
+        (x.sym_power(i) * y.sym_power(n - i) for i in range(n + 1)), ZERO)
+
+
+def test_power_exp_edge_cases():
+    # Exp(-t) = 1 - t: a non-effective term is expanded too
+    assert [power_exp((-ONE,), n) for n in range(4)] == [ONE, -ONE, ZERO, ZERO]
+    # Exp(t^2) = 1/(1 - t^2); a term beyond t^n does not matter
+    assert [power_exp((ZERO, ONE, L), n) for n in range(4)] == [ONE, ZERO, ONE, L]
+    assert power_exp((), 0) == power_exp((L,), 0) == ONE
+    with pytest.raises(ValueError, match="^series order must be >= 0$"):
+        power_exp((ONE,), -1)
 
 
 def test_str_formatting():
