@@ -15,7 +15,6 @@ Three layers:
 """
 
 from .atoms import (
-    AtomKind,
     OutOfRange,
     Unsupported,
     affine,
@@ -27,7 +26,7 @@ from .atoms import (
     universal_curve,
 )
 from .dsl import ArityError, ParseError, VarietyExpr, eval_expr, evaluate, format_expr, parse
-from .motive import L, ONE, ZERO, DivisionNotExact, MotiveClass, NotEffective, lefschetz_power
+from .motive import L, ONE, ZERO, DivisionNotExact, MotiveClass, NotEffective
 from .strata import (
     ConsistencyReport,
     StratumSpec,
@@ -43,11 +42,11 @@ from .strata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArityError", "AtomKind", "ConsistencyReport", "DivisionNotExact", "L",
-    "MotiveClass", "NotEffective", "ONE", "OutOfRange", "ParseError",
-    "StratumSpec", "Unsupported", "VarietyExpr", "VerificationReport",
-    "VerificationSuite", "ZERO", "affine", "assemble", "eval_expr",
-    "evaluate", "format_expr", "grassmannian", "hilb_p2", "lefschetz_power",
-    "linear_system", "omega26_assembled", "omega26_parts", "omega_locus",
-    "parse", "projective", "registry", "universal_curve", "verify_all",
+    "ArityError", "ConsistencyReport", "DivisionNotExact", "L", "MotiveClass",
+    "NotEffective", "ONE", "OutOfRange", "ParseError", "StratumSpec",
+    "Unsupported", "VarietyExpr", "VerificationReport", "VerificationSuite",
+    "ZERO", "affine", "assemble", "eval_expr", "evaluate", "format_expr",
+    "grassmannian", "hilb_p2", "linear_system", "omega26_assembled",
+    "omega26_parts", "omega_locus", "parse", "projective", "registry",
+    "universal_curve", "verify_all",
 ]

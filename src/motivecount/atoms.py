@@ -4,14 +4,16 @@ Every constructor returns a :class:`~motivecount.motive.MotiveClass`.  The
 Grassmannian and Hilbert-scheme classes are derived (Gaussian binomial,
 power structure) rather than hard-coded; the two supported curve-locus
 classes inside the Hilbert scheme are pinned constants, certified elsewhere.
+Each constructor's name is an atom kind of :data:`motivecount.dsl.ATOMS`,
+which holds its syntax and degree rule; the expression language looks the
+constructor up by that name when it evaluates an atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .motive import MotiveClass, lefschetz_power, power_exp
+from .motive import MotiveClass, power_exp
 
 HILB_MAX = 8
 
@@ -24,25 +26,11 @@ class Unsupported(ValueError):
     """Parameter combination the calculator does not implement."""
 
 
-@dataclass(frozen=True)
-class AtomKind:
-    """A named standard variety with integer parameters."""
-
-    kind: str
-    args: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in _CONSTRUCTORS:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if any(a < 0 for a in self.args):
-            raise ValueError(f"atom parameters must be >= 0: {self}")
-        if self.kind == "grassmannian" and not self.args[0] <= self.args[1]:
-            raise ValueError(f"grassmannian requires k <= n: {self}")
-
-
 def affine(n: int) -> MotiveClass:
     """Class of affine n-space: L^n."""
-    return lefschetz_power(n)
+    if n < 0:
+        raise ValueError("dimension must be >= 0")
+    return MotiveClass((0,) * n + (1,))
 
 
 def projective(n: int) -> MotiveClass:
@@ -69,8 +57,8 @@ def grassmannian(k: int, n: int) -> MotiveClass:
     num = MotiveClass((1,))
     den = MotiveClass((1,))
     for i in range(k):
-        num = num * (lefschetz_power(n - i) - 1)
-        den = den * (lefschetz_power(k - i) - 1)
+        num = num * (affine(n - i) - 1)
+        den = den * (affine(k - i) - 1)
     return num.exact_div(den)
 
 
@@ -87,7 +75,7 @@ def hilb_p2(n: int) -> MotiveClass:
         raise ValueError("number of points must be >= 0")
     if n > HILB_MAX:
         raise OutOfRange(f"hilb_p2 implemented for n <= {HILB_MAX}, got {n}")
-    return power_exp([projective(2) * lefschetz_power(m - 1) for m in range(1, n + 1)], n)
+    return power_exp([projective(2) * affine(m - 1) for m in range(1, n + 1)], n)
 
 
 def linear_system(d: int) -> MotiveClass:
@@ -127,37 +115,3 @@ def omega_locus(k: int, n: int) -> MotiveClass:
         return _OMEGA_2_6
     raise Unsupported(f"omega_locus implemented only for (1,3) and (2,6), got ({k}, {n})")
 
-
-_CONSTRUCTORS = {
-    "affine": affine,
-    "projective": projective,
-    "grassmannian": grassmannian,
-    "hilb_p2": hilb_p2,
-    "linear_system": linear_system,
-    "universal_curve": universal_curve,
-    "omega_locus": omega_locus,
-}
-
-
-def atom_class(atom: AtomKind) -> MotiveClass:
-    """Evaluate an :class:`AtomKind` to its motive class."""
-    return _CONSTRUCTORS[atom.kind](*atom.args)
-
-
-#: degree of each atom's class from its parameters; for the Omega loci,
-#: which lie in Hilb n, the bound 2n
-_DEGREES = {
-    "affine": lambda n: n,
-    "projective": lambda n: n,
-    "grassmannian": lambda k, n: k * (n - k),
-    "hilb_p2": lambda n: 2 * n,
-    "linear_system": lambda d: d * (d + 3) // 2,
-    "universal_curve": lambda d: d * (d + 3) // 2 + 1,
-    "omega_locus": lambda k, n: 2 * n,
-}
-
-
-def atom_degree(atom: AtomKind) -> int:
-    """Degree of an atom's class, read off its parameters without building
-    the class (an upper bound for the Omega loci)."""
-    return _DEGREES[atom.kind](*atom.args)

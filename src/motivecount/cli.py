@@ -93,13 +93,12 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     qs = _parse_qlist(args.q)
+    if not 1 <= args.max_colength <= MAX_COLENGTH:
+        raise UsageError(f"max-colength must be in 1..{MAX_COLENGTH}")
     if args.check == "punctual":
-        maxc = args.max_colength
-        if not 1 <= maxc <= MAX_COLENGTH:
-            raise UsageError(f"max-colength must be in 1..{MAX_COLENGTH}")
         results = []
         for curve in CURVES:
-            for c in range(1, maxc + 1):
+            for c in range(1, args.max_colength + 1):
                 for q in qs:
                     print(f"counting {curve} colength {c} at q={q} ...", file=sys.stderr)
                     results.append(count_punctual_total_vs_table(curve, c, q))

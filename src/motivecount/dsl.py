@@ -13,13 +13,13 @@ Grammar (whitespace-insensitive, LL(1)):
 '-' is left-associative difference, '*' binds tighter than '+'/'-', and '^'
 binds tighter than '*'.  INT is a run of at most ``MAX_INT_DIGITS`` ASCII
 digits; a longer literal is a :class:`ParseError` at its offset.  The atom
-primaries are read, and printed, through their templates in ``SYNTAX``.
+primaries are read, and printed, through their templates in ``ATOMS``.
 Integer literals denote disjoint unions of points, so "P1 - 1" is the class L.
 Difference is kept as its own node (rather than addition of a negation) so
 registered formulas display exactly as written.
 
 While parsing, each node gets a degree bound by the rules of the class
-degree: an atom's from its parameters (:func:`.atoms.atom_degree`), 1 for
+degree: an atom's from its parameters (its rule in ``ATOMS``), 1 for
 L, 0 for a literal; a sum or difference takes the larger of its operands, a
 product adds, X^k and Sym k(X) multiply by k.  An atom parameter, exponent
 or Sym order over ``MAX_DEGREE``, or a node of degree over ``MAX_DEGREE``,
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Union
 
-from .atoms import AtomKind, atom_class, atom_degree
+from . import atoms
 from .motive import MotiveClass
 
 
@@ -72,7 +72,10 @@ class ArityError(ValueError):
 
 @dataclass(frozen=True)
 class Atom:
-    kind: AtomKind
+    """A standard variety: its kind in ``ATOMS`` and its parameters."""
+
+    kind: str
+    args: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,18 @@ VarietyExpr = Union[Atom, Lit, Lefschetz, Sum, Diff, Prod, Pow, Sym]
 
 # -- syntax -------------------------------------------------------------------
 
-#: each atom's syntax in canonical display order; '{}' is an integer parameter
-SYNTAX = {
-    "affine": "A{}",
-    "projective": "P{}",
-    "grassmannian": "Gr({},{})",
-    "hilb_p2": "Hilb{}",
-    "linear_system": "Lin({})",
-    "universal_curve": "C({})",
-    "omega_locus": "Omega({},{})",
+#: each atom in canonical display order, by the name of its constructor in
+#: :mod:`.atoms`: its syntax, where '{}' is an integer parameter, and the
+#: degree of its class read off the parameters (for the Omega loci, which
+#: lie in Hilb n, the bound 2n)
+ATOMS = {
+    "affine": ("A{}", lambda n: n),
+    "projective": ("P{}", lambda n: n),
+    "grassmannian": ("Gr({},{})", lambda k, n: k * (n - k)),
+    "hilb_p2": ("Hilb{}", lambda n: 2 * n),
+    "linear_system": ("Lin({})", lambda d: d * (d + 3) // 2),
+    "universal_curve": ("C({})", lambda d: d * (d + 3) // 2 + 1),
+    "omega_locus": ("Omega({},{})", lambda k, n: 2 * n),
 }
 
 #: largest degree of any node, and largest atom parameter, exponent and Sym
@@ -135,7 +141,7 @@ SYNTAX = {
 MAX_DEGREE = 200
 
 #: atom kind by its template's leading keyword
-_KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, t in SYNTAX.items()}
+_KEYWORDS = {re.match("[A-Za-z]+", t)[0]: kind for kind, (t, _) in ATOMS.items()}
 
 #: most digits in one integer literal; longer literals are rejected before
 #: conversion, below Python's 4300-digit limit on int() of a string
@@ -293,18 +299,18 @@ class _Parser:
         kind = _KEYWORDS.get(word.text)
         if kind is None:
             raise ParseError(word.offset, _PRIMARY_START, word.text)
-        args = self._args(SYNTAX[kind][len(word.text):])
+        template, degree_of = ATOMS[kind]
+        args = self._args(template[len(word.text):])
         if kind == "grassmannian" and args[0] > args[1]:
-            raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} requires k <= n")
+            raise ArityError(word.offset, f"{template.format(*args)} requires k <= n")
         if max(args) > MAX_DEGREE:
-            raise ArityError(word.offset, f"{SYNTAX[kind].format(*args)} has a parameter "
+            raise ArityError(word.offset, f"{template.format(*args)} has a parameter "
                                           f"over {MAX_DEGREE}")
-        atom = AtomKind(kind, args)
-        degree = self._cap(word.offset, atom_degree(atom))
+        degree = self._cap(word.offset, degree_of(*args))
         # every atom's class has nonnegative coefficients summing to its
         # value at L = 1, which is at most 4^degree: C(n,k) for Gr(k,n), at
         # most 4^n for Hilb n; within the degree cap that is under MAX_NORM
-        return Atom(atom), degree, 4 ** degree
+        return Atom(kind, args), degree, 4 ** degree
 
     def _args(self, shape: str) -> tuple[int, ...]:
         """The integer parameters along a template's text after its keyword,
@@ -328,7 +334,9 @@ def parse(source: str) -> VarietyExpr:
 def eval_expr(e: VarietyExpr) -> MotiveClass:
     """Evaluate an expression tree to its motive class."""
     if isinstance(e, Atom):
-        return atom_class(e.kind)
+        # by name at call time, so a wrapper set on the module attribute (as
+        # perfbench's tracer sets one) sees every call
+        return getattr(atoms, e.kind)(*e.args)
     if isinstance(e, Lit):
         return MotiveClass((e.value,))
     if isinstance(e, Lefschetz):
@@ -376,7 +384,7 @@ def format_expr(e: VarietyExpr) -> str:
     """Render a tree in canonical syntax; parse(format_expr(e)) == e for
     trees in parser shape (no Sum directly under Sum or Prod under Prod)."""
     if isinstance(e, Atom):
-        return SYNTAX[e.kind.kind].format(*e.kind.args)
+        return ATOMS[e.kind][0].format(*e.args)
     if isinstance(e, Lit):
         return str(e.value)
     if isinstance(e, Lefschetz):

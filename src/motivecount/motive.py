@@ -195,13 +195,14 @@ class MotiveClass:
 
     def sym_power(self, n: int) -> "MotiveClass":
         """n-th symmetric power: the t^n coefficient of Exp(X t), by
-        :func:`power_exp`.  The zeta rule behind it is only justified for
-        effective classes, so a negative coefficient raises
+        :func:`power_exp`.  Sym is defined here only for effective classes,
+        the classes of varieties, so a negative coefficient raises
         :class:`NotEffective` instead of silently extending it."""
         if n < 0:
             raise ValueError("symmetric power order must be >= 0")
         if not self.is_effective():
-            raise NotEffective(f"non-effective class {self} has no zeta expansion here")
+            raise NotEffective(f"non-effective class {self}: Sym is defined here "
+                               "only for effective classes")
         return power_exp((self,), n)
 
     # -- presentation --------------------------------------------------------
@@ -259,13 +260,6 @@ def power_exp(terms: Sequence[MotiveClass], n: int) -> MotiveClass:
             raise DivisionNotExact(f"{MotiveClass(acc)} is not divisible by {m}")
         series.append([a // m for a in acc])
     return MotiveClass(series[n])
-
-
-def lefschetz_power(n: int) -> MotiveClass:
-    """L^n as a class (the class of affine n-space)."""
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
-    return MotiveClass((0,) * n + (1,))
 
 
 ZERO = MotiveClass()

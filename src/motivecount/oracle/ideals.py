@@ -146,15 +146,6 @@ class IdealRecord:
             raise ValueError(f"basis not closed under multiplication: {basis}")
         return cls(basis=basis, colength=alg.dim - len(basis))
 
-    @classmethod
-    def from_generators(cls, generators, alg: LocalAlgebra, q: int) -> "IdealRecord":
-        rows = close_under_multiplication(list(generators), alg, q)
-        return cls(basis=tuple(v for _, v in rows), colength=alg.dim - len(rows))
-
-    def reclosed(self, alg: LocalAlgebra, q: int) -> "IdealRecord":
-        """Closing an ideal again must be the identity (idempotence)."""
-        return IdealRecord.from_generators(self.basis, alg, q)
-
 
 def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:
     """All subspaces of the algebra closed under multiplication by x and y,

@@ -4,12 +4,9 @@ from math import comb
 
 import pytest
 
-from motivecount import MotiveClass, OutOfRange, Unsupported
+from motivecount import MotiveClass, OutOfRange, Unsupported, atoms
 from motivecount.atoms import (
-    AtomKind,
     affine,
-    atom_class,
-    atom_degree,
     grassmannian,
     hilb_p2,
     linear_system,
@@ -17,6 +14,7 @@ from motivecount.atoms import (
     projective,
     universal_curve,
 )
+from motivecount.dsl import ATOMS
 
 
 def partitions_in_box(rows: int, cols: int) -> list[int]:
@@ -42,6 +40,8 @@ def test_affine_and_projective():
     assert projective(0) == MotiveClass((1,))
     assert projective(2) == MotiveClass((1, 1, 1))
     assert projective(5).euler() == 6
+    with pytest.raises(ValueError):
+        affine(-1)
     with pytest.raises(ValueError):
         projective(-1)
 
@@ -153,31 +153,22 @@ def test_omega_locus():
         omega_locus(3, 10)
 
 
-def test_atom_kind_validation():
-    with pytest.raises(ValueError):
-        AtomKind("nonsense", (1,))
-    with pytest.raises(ValueError):
-        AtomKind("grassmannian", (3, 2))
-    assert atom_class(AtomKind("projective", (2,))) == projective(2)
-    assert atom_class(AtomKind("omega_locus", (2, 6))) == omega_locus(2, 6)
-
-
-def test_atom_degree_is_the_class_degree():
-    """The degree read off the parameters equals the class's degree (an
-    upper bound for the Omega loci).  Every class is effective with its
-    coefficients summing to at most 4^degree, the parser's norm bound."""
+def test_atom_table_degree_rules_are_the_class_degrees():
+    """Every kind of the atom table names a constructor in atoms, and its
+    degree rule gives the class's degree (an upper bound for the Omega
+    loci).  Every class is effective with its coefficients summing to at
+    most 4^degree, the parser's norm bound."""
+    assert all(callable(getattr(atoms, kind, None)) for kind in ATOMS)
     cases = ([("affine", (n,)) for n in range(6)] + [("projective", (n,)) for n in range(6)]
              + [("grassmannian", (k, n)) for n in range(7) for k in range(n + 1)]
              + [("hilb_p2", (n,)) for n in range(9)]
              + [(kind, (d,)) for kind in ("linear_system", "universal_curve") for d in range(1, 7)])
     for kind, args in cases:
-        atom = AtomKind(kind, args)
-        assert atom_degree(atom) == atom_class(atom).degree, atom
+        assert ATOMS[kind][1](*args) == getattr(atoms, kind)(*args).degree, (kind, args)
     for args in ((1, 3), (2, 6)):
-        atom = AtomKind("omega_locus", args)
-        assert atom_degree(atom) >= atom_class(atom).degree
+        assert ATOMS["omega_locus"][1](*args) >= omega_locus(*args).degree
         cases.append(("omega_locus", args))
+    assert {kind for kind, _ in cases} == set(ATOMS)
     for kind, args in cases:
-        atom = AtomKind(kind, args)
-        cls = atom_class(atom)
-        assert cls.is_effective() and sum(cls.coeffs) <= 4 ** atom_degree(atom), atom
+        cls = getattr(atoms, kind)(*args)
+        assert cls.is_effective() and sum(cls.coeffs) <= 4 ** ATOMS[kind][1](*args), (kind, args)

@@ -55,6 +55,8 @@ def test_eval_syntax_error(capsys):
     ("Lin(0)", "error: linear_system requires degree >= 1, got 0\n"),
     ("C(0)", "error: universal_curve requires degree >= 1, got 0\n"),
     ("P\u00b2", "SyntaxError at offset 1: expected expression, found '\u00b2'\n"),
+    ("Sym2(1-L)", "error: non-effective class 1 - L: Sym is defined here only for "
+                  "effective classes\n"),
 ])
 def test_eval_bad_input_exits_2(capsys, expr, err):
     code, out, got = run(capsys, "eval", expr)
@@ -360,6 +362,15 @@ def test_oracle_bad_q(capsys):
     code, _, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("check", ["gr", "punctual", "hilb2", "bridges"])
+@pytest.mark.parametrize("colength", ["0", "7"])
+def test_oracle_max_colength_out_of_range_exits_2(capsys, check, colength):
+    """Every --check rejects the value, not only the punctual one that uses it."""
+    code, out, err = run(capsys, "oracle", "--check", check, "--q", "2",
+                         "--max-colength", colength)
+    assert (code, out, err) == (2, "", "error: max-colength must be in 1..6\n")
 
 
 def test_report_json(capsys, shared_bridges):

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from motivecount import L, MotiveClass, projective
-from motivecount.atoms import AtomKind, atom_class
+from motivecount import L, MotiveClass, atoms, projective
 from motivecount.dsl import (
     MAX_DEGREE,
     MAX_INT_DIGITS,
@@ -26,8 +25,8 @@ from motivecount.dsl import (
 
 
 def test_parse_product():
-    assert parse("P2*P13") == Prod((Atom(AtomKind("projective", (2,))),
-                                    Atom(AtomKind("projective", (13,)))))
+    assert parse("P2*P13") == Prod((Atom("projective", (2,)),
+                                    Atom("projective", (13,))))
 
 
 def test_parse_assembly_expression():
@@ -45,13 +44,13 @@ def test_parse_whitespace_insensitive():
 def test_parse_all_primaries():
     assert parse("L") == Lefschetz()
     assert parse("7") == Lit(7)
-    assert parse("A3") == Atom(AtomKind("affine", (3,)))
-    assert parse("Hilb3") == Atom(AtomKind("hilb_p2", (3,)))
-    assert parse("Lin(2)") == Atom(AtomKind("linear_system", (2,)))
-    assert parse("C(3)") == Atom(AtomKind("universal_curve", (3,)))
-    assert parse("Omega(2,6)") == Atom(AtomKind("omega_locus", (2, 6)))
-    assert parse("Sym2(P2)") == Sym(2, Atom(AtomKind("projective", (2,))))
-    assert parse("P1^3") == Pow(Atom(AtomKind("projective", (1,))), 3)
+    assert parse("A3") == Atom("affine", (3,))
+    assert parse("Hilb3") == Atom("hilb_p2", (3,))
+    assert parse("Lin(2)") == Atom("linear_system", (2,))
+    assert parse("C(3)") == Atom("universal_curve", (3,))
+    assert parse("Omega(2,6)") == Atom("omega_locus", (2, 6))
+    assert parse("Sym2(P2)") == Sym(2, Atom("projective", (2,)))
+    assert parse("P1^3") == Pow(Atom("projective", (1,)), 3)
 
 
 @pytest.mark.parametrize("source,offset", [
@@ -158,15 +157,15 @@ def _atoms():
     return st.one_of(
         st.just(Lefschetz()),
         st.builds(Lit, st.integers(min_value=0, max_value=99)),
-        st.builds(lambda n: Atom(AtomKind("affine", (n,))), st.integers(0, 20)),
-        st.builds(lambda n: Atom(AtomKind("projective", (n,))), st.integers(0, 20)),
-        st.builds(lambda k, extra: Atom(AtomKind("grassmannian", (k, k + extra))),
+        st.builds(lambda n: Atom("affine", (n,)), st.integers(0, 20)),
+        st.builds(lambda n: Atom("projective", (n,)), st.integers(0, 20)),
+        st.builds(lambda k, extra: Atom("grassmannian", (k, k + extra)),
                   st.integers(0, 4), st.integers(0, 5)),
-        st.builds(lambda n: Atom(AtomKind("hilb_p2", (n,))), st.integers(0, 8)),
-        st.builds(lambda d: Atom(AtomKind("linear_system", (d,))), st.integers(1, 6)),
-        st.builds(lambda d: Atom(AtomKind("universal_curve", (d,))), st.integers(1, 6)),
-        st.sampled_from([Atom(AtomKind("omega_locus", (1, 3))),
-                         Atom(AtomKind("omega_locus", (2, 6)))]),
+        st.builds(lambda n: Atom("hilb_p2", (n,)), st.integers(0, 8)),
+        st.builds(lambda d: Atom("linear_system", (d,)), st.integers(1, 6)),
+        st.builds(lambda d: Atom("universal_curve", (d,)), st.integers(1, 6)),
+        st.sampled_from([Atom("omega_locus", (1, 3)),
+                         Atom("omega_locus", (2, 6))]),
     )
 
 
@@ -196,8 +195,8 @@ def _max_node_degree(tree) -> int:
 
     def degree(e) -> int:
         if isinstance(e, Atom):
-            d = (2 * e.kind.args[1] if e.kind.kind == "omega_locus"
-                 else atom_class(e.kind).degree)
+            d = (2 * e.args[1] if e.kind == "omega_locus"
+                 else getattr(atoms, e.kind)(*e.args).degree)
         elif isinstance(e, Lit):
             d = 0
         elif isinstance(e, Lefschetz):
