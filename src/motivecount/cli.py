@@ -56,6 +56,9 @@ def _parse_qlist(raw: str) -> list[int]:
         raise UsageError(f"bad q list {raw!r}")
     if not qs or any(q not in (2, 3, 4) for q in qs):
         raise UsageError(f"q must be from {{2,3,4}}, got {raw!r}")
+    for i, q in enumerate(qs):
+        if q in qs[:i]:
+            raise UsageError(f"q {q} repeated in {raw!r}")
     return qs
 
 

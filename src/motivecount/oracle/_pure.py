@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import LocalAlgebra
-from .ideals import Row, Vector, close_under_multiplication, insert_reduced
+from .ideals import Row, Vector, close_under_multiplication, insert_reduced, pack, unpack
 
 
 def scalar_representatives(dim: int, q: int):
@@ -35,12 +35,12 @@ def scalar_representatives(dim: int, q: int):
             yield head + tail
 
 
-def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[Vector, ...], list[Row]]:
+def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[int, ...], list[Row]]:
     """Reduced echelon bases of the principal ideals (f), one f per scalar
-    class, keyed by the basis vectors."""
-    out: dict[tuple[Vector, ...], list[Row]] = {}
+    class, keyed by the packed basis vectors."""
+    out: dict[tuple[int, ...], list[Row]] = {}
     for f in scalar_representatives(alg.dim, q):
-        rows = close_under_multiplication([f], alg, q)
+        rows = close_under_multiplication([pack(f)], alg, q)
         out.setdefault(tuple(v for _, v in rows), rows)
     return out
 
@@ -49,13 +49,13 @@ def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int) -> list[tuple[Vec
     """Canonical bases of all two-generated ideals of the given colength,
     sorted."""
     principals = list(principal_closures(alg, q).values())
-    found: set[tuple[Vector, ...]] = set()
+    found: set[tuple[int, ...]] = set()
     # each unordered pair once; the pair (f), (f) gives the principal ideal
     for i, rows_f in enumerate(principals):
         for rows_g in principals[i:]:
             merged = list(rows_f)
             for _, v in rows_g:
-                insert_reduced(merged, v, q)
+                insert_reduced(merged, v, q, alg.dim)
             if alg.dim - len(merged) == colength:
                 found.add(tuple(v for _, v in merged))
-    return sorted(found)
+    return sorted(tuple(unpack(v, alg.dim) for v in basis) for basis in found)

@@ -34,7 +34,7 @@ from .tables import MAX_COLENGTH, expected_class
 #: most elements, one per scalar class, 1 + (q^dim - 1)/(q - 1), that one
 #: punctual count may sweep: q=2 colength 6 sweeps 2^13 = 8192 and q=3
 #: colength 4 sweeps 9842; q=3 colength 5 sweeps 88574, and its cells took
-#: 1.2-1.6 s each (Python 3.11, one core of a 2-vCPU Xeon VM)
+#: 1.5-1.7 s each (Python 3.11, one core of a 2-vCPU Xeon VM)
 MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
 
 

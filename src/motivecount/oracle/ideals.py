@@ -1,9 +1,19 @@
 """Canonical ideal records and the echelon linear algebra behind them.
 
-Vectors are coefficient tuples over the prime field F_q, indexed by the
-monomial basis of a :class:`~motivecount.oracle.algebra.LocalAlgebra`.  An
-ideal is stored as the reduced row echelon basis of the subspace it spans,
-which is a canonical form: two ideals are equal iff their records are equal.
+A vector over the prime field F_q, indexed by the monomial basis of a
+:class:`~motivecount.oracle.algebra.LocalAlgebra`, is packed into one
+``int``: coefficient i is byte i, little-endian (:func:`pack`,
+:func:`unpack`).  The row operation v - c*r is then the big-int
+multiply-add v + (q - c)*r followed by one ``bytes.translate`` through a
+table taking each byte value to its residue mod q.  For every prime
+q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
+translate, so no coefficient carries into the next; those primes are the
+kernel's domain.  Tuples appear only at the public edges: record bases and
+the enumerators' results.
+
+An ideal is stored as the reduced row echelon basis of the subspace it
+spans, which is a canonical form: two ideals are equal iff their records
+are equal.
 """
 
 from __future__ import annotations
@@ -14,113 +24,155 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
+from ..atoms import Unsupported
 from .algebra import LocalAlgebra
 
 Vector = tuple[int, ...]
-Row = tuple[int, Vector]  # (pivot index, normalized row)
+Row = tuple[int, int]  # (pivot index, normalized packed row)
+
+#: the field sizes the packed kernel computes over
+PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def vec_mul_monomial(v: Vector, mul_map: tuple[int, ...], dim: int) -> Vector:
-    """Multiply a vector by x or y; the monomial maps are injective where
-    nonzero, so coefficients move without colliding."""
-    out = [0] * dim
-    for i, c in enumerate(v):
-        if c and mul_map[i] >= 0:
-            out[mul_map[i]] = c
-    return tuple(out)
+def pack(v: Vector) -> int:
+    """The packed form of a coefficient tuple: coefficient i in byte i."""
+    return int.from_bytes(bytes(v), "little")
 
 
-def echelon_reduce(rows: list[Row], v: Vector, q: int) -> Row | None:
-    """Reduce v against an echelon basis; return the normalized new row, or
-    None if v lies in the span.  A row is zero before its pivot, so each
-    step rewrites only the columns from the pivot on."""
-    v = list(v)
+def unpack(x: int, dim: int) -> Vector:
+    """The coefficient tuple, of length dim, of a packed vector."""
+    return tuple(x.to_bytes(dim, "little"))
+
+
+def pivot(x: int) -> int:
+    """Index of the first nonzero coefficient of a nonzero packed vector."""
+    return ((x & -x).bit_length() - 1) >> 3
+
+
+@lru_cache(maxsize=None)
+def _residues(q: int) -> bytes:
+    """Translate table taking each byte value to its residue mod q."""
+    return bytes(i % q for i in range(256))
+
+
+def _mod(x: int, table: bytes, dim: int) -> int:
+    """x with each of its dim coefficients, all below 256, replaced by its
+    residue under the :func:`_residues` table."""
+    return int.from_bytes(x.to_bytes(dim, "little").translate(table), "little")
+
+
+@lru_cache(maxsize=None)
+def monomial_shifts(mul_map: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Multiplication by x or y as (mask, bit shift) pairs, one per distinct
+    offset mul_map[i] - i: the product of v is the OR of (v & mask) << shift.
+    The monomial maps are injective where nonzero, so the parts never
+    overlap."""
+    masks: dict[int, int] = {}
+    for i, j in enumerate(mul_map):
+        if j >= 0:
+            masks[j - i] = masks.get(j - i, 0) | 255 << 8 * i
+    return tuple((mask, 8 * offset) for offset, mask in masks.items())
+
+
+def vec_mul_monomial(v: int, shifts: tuple[tuple[int, int], ...]) -> int:
+    """Multiply a packed vector by x or y, given as :func:`monomial_shifts`."""
+    out = 0
+    for mask, shift in shifts:
+        out |= (v & mask) << shift
+    return out
+
+
+def echelon_reduce(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
+    """Reduce v, of dim coefficients, against an echelon basis; return the
+    normalized new row, or None if v lies in the span."""
+    table = _residues(q)
     for piv, row in rows:
-        c = v[piv]
+        c = v >> 8 * piv & 255
         if c:
-            v[piv:] = [(a - c * b) % q for a, b in zip(v[piv:], row[piv:])]
-    for i, c in enumerate(v):
-        if c:
-            inv = pow(c, q - 2, q)
-            v[i:] = [(x * inv) % q for x in v[i:]]
-            return i, tuple(v)
-    return None
+            v = _mod(v + (q - c) * row, table, dim)
+    if not v:
+        return None
+    p = pivot(v)
+    c = v >> 8 * p & 255
+    if c != 1:
+        v = _mod(v * pow(c, q - 2, q), table, dim)
+    return p, v
 
 
-def insert_reduced(rows: list[Row], v: Vector, q: int) -> Row | None:
+def insert_reduced(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
     """Extend a reduced echelon basis, rows sorted by pivot, by v in place:
     reduce v, clear its pivot column from the rows above it and insert it in
     pivot order, so the rows stay a reduced echelon basis.  Return the new
     row, or None if v lies in the span."""
-    new = echelon_reduce(rows, v, q)
+    new = echelon_reduce(rows, v, q, dim)
     if new is None:
         return None
     p, w = new
+    table = _residues(q)
     for k, (piv, row) in enumerate(rows):
         if piv > p:
             break
-        c = row[p]
+        c = row >> 8 * p & 255
         if c:
-            r = list(row)
-            r[p:] = [(a - c * b) % q for a, b in zip(row[p:], w[p:])]
-            rows[k] = (piv, tuple(r))
+            rows[k] = piv, _mod(row + (q - c) * w, table, dim)
     insort(rows, new)
     return new
 
 
 @lru_cache(maxsize=None)
 def _identity_rows(dim: int) -> tuple[Row, ...]:
-    return tuple((i, tuple(int(j == i) for j in range(dim))) for i in range(dim))
+    return tuple((i, 1 << 8 * i) for i in range(dim))
 
 
 def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Row]:
     """Reduced echelon basis, rows sorted by pivot, of the ideal generated
-    by the given vectors: the span of all monomial multiples, built with a
-    worklist.  The basis is its own canonical form.
+    by the given packed vectors: the span of all monomial multiples, built
+    with a worklist.  The basis is its own canonical form.
 
     Index 0 is the monomial 1, so a generator with a nonzero constant term
     is a unit of the local algebra and the ideal is the whole algebra; its
     basis, the identity rows, is returned without a worklist."""
     work = list(generators)
-    if any(v[0] for v in work):
-        return list(_identity_rows(alg.dim))
+    dim = alg.dim
+    if any(v & 255 for v in work):
+        return list(_identity_rows(dim))
+    x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
     rows: list[Row] = []
     while work:
-        new = insert_reduced(rows, work.pop(), q)
+        new = insert_reduced(rows, work.pop(), q, dim)
         if new is not None:
-            work.append(vec_mul_monomial(new[1], alg.mul_x, alg.dim))
-            work.append(vec_mul_monomial(new[1], alg.mul_y, alg.dim))
+            work.append(vec_mul_monomial(new[1], x_shifts))
+            work.append(vec_mul_monomial(new[1], y_shifts))
     return rows
 
 
 def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
     """Whether the span of an echelon basis, rows sorted by pivot, is closed
     under multiplication by x and by y, i.e. is an ideal."""
-    return all(echelon_reduce(rows, vec_mul_monomial(v, mul_map, alg.dim), q) is None
-               for _, v in rows for mul_map in (alg.mul_x, alg.mul_y))
+    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
+    return all(echelon_reduce(rows, vec_mul_monomial(v, m), q, alg.dim) is None
+               for _, v in rows for m in maps)
 
 
 def reduced_echelon_forms(k: int, n: int, q: int, columns: Sequence[int] | None = None):
     """Yield every reduced echelon form of a k x n matrix of rank k over
-    F_q, one per k-dimensional subspace.  Given ``columns``, sorted indices
-    into vectors of length n, yield instead the forms of the subspaces of
-    the coordinate subspace on those columns: the rows are zero elsewhere.
+    F_q, one per k-dimensional subspace, as a tuple of k packed rows.
+    Given ``columns``, sorted indices into vectors of length n, yield
+    instead the forms of the subspaces of the coordinate subspace on those
+    columns: the rows are zero elsewhere.
 
     For a fixed pivot set each row varies independently over its free
-    cells, so the forms are the product of per-row choices, built once per
-    pivot set; row 0 varies slowest and the last free cell fastest."""
+    cells, so the forms are the product of per-row choices, each packed
+    once per pivot set; row 0 varies slowest and the last free cell
+    fastest."""
     cols = range(n) if columns is None else columns
     for pivots in combinations(range(len(cols)), k):
         choices = []
         for p in pivots:
-            free = [cols[j] for j in range(p + 1, len(cols)) if j not in pivots]
-            options = []
-            for values in product(range(q), repeat=len(free)):
-                row = [0] * n
-                row[cols[p]] = 1
-                for j, c in zip(free, values):
-                    row[j] = c
-                options.append(tuple(row))
+            options = [1 << 8 * cols[p]]
+            for j in range(p + 1, len(cols)):
+                if j not in pivots:
+                    options = [x + (c << 8 * cols[j]) for x in options for c in range(q)]
             choices.append(options)
         yield from product(*choices)
 
@@ -137,19 +189,21 @@ class IdealRecord:
         """Wrap an enumerated basis, checking that it is a reduced echelon
         basis and that its span is closed under multiplication by x and y."""
         pivots = [next((i for i, c in enumerate(v) if c), -1) for v in basis]
+        in_field = all(0 <= c < q for v in basis for c in v)
         # each pivot column is the unit column of its row, pivots ascending
-        if pivots != sorted(set(pivots)) or not all(
+        if not in_field or pivots != sorted(set(pivots)) or not all(
                 p >= 0 and [w[p] for w in basis] == [int(s == r) for s in range(len(basis))]
                 for r, p in enumerate(pivots)):
             raise ValueError(f"basis not in reduced echelon form: {basis}")
-        if not is_closed(list(zip(pivots, basis)), alg, q):
+        if not is_closed([(p, pack(v)) for p, v in zip(pivots, basis)], alg, q):
             raise ValueError(f"basis not closed under multiplication: {basis}")
         return cls(basis=basis, colength=alg.dim - len(basis))
 
 
 def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:
     """All subspaces of the algebra closed under multiplication by x and y,
-    of the given colength, with no generator-count assumption.
+    of the given colength, with no generator-count assumption; q must be a
+    prime in :data:`PRIMES`.
 
     Exhaustive reference used to certify that two generators reach every
     ideal.  A colength-c ideal contains every monomial of degree >= c and
@@ -158,24 +212,27 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     placed in the middle-degree columns.  The x- and y-multiples of a
     forced monomial have degree > c, so they are forced too: only the
     form's rows are tested for closure.  Feasible for small cases only:
-    colength 5 at q = 2 sweeps 200,787 forms in about 2 s, while colength 6
+    colength 5 at q = 2 sweeps 200,787 forms in about 0.9 s, while colength 6
     sweeps 1.1 x 10^8 and still takes minutes.
     """
+    if q not in PRIMES:
+        raise Unsupported(f"closed subspaces at q={q}: q must be a prime in {PRIMES}")
+    dim = alg.dim
     deg = [a + b for a, b in alg.monomials]
     forced = [i for i, d in enumerate(deg) if d >= colength]
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
-    extra_dim = (alg.dim - colength) - len(forced)
+    extra_dim = (dim - colength) - len(forced)
     found: set[tuple[Vector, ...]] = set()
     if extra_dim < 0:
         return found
-    units = [_identity_rows(alg.dim)[i] for i in forced]
-    maps = (alg.mul_x, alg.mul_y)
-    for form in reduced_echelon_forms(extra_dim, alg.dim, q, free_region):
+    units = [_identity_rows(dim)[i] for i in forced]
+    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
+    for form in reduced_echelon_forms(extra_dim, dim, q, free_region):
         # the form's rows and the forced unit rows have disjoint supports,
         # so together they are already a reduced echelon basis, which
         # reduces a vector the same in any row order
-        rows = units + [(v.index(1), v) for v in form]
-        if all(echelon_reduce(rows, vec_mul_monomial(v, m, alg.dim), q) is None
+        rows = units + [(pivot(v), v) for v in form]
+        if all(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) is None
                for v in form for m in maps):
-            found.add(tuple(v for _, v in sorted(rows)))
+            found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
     return found

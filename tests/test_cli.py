@@ -364,6 +364,14 @@ def test_oracle_bad_q(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("check,qs,repeated", [("gr", "2,2", 2), ("punctual", "3,3", 3),
+                                               ("bridges", "2,3,4,3", 3)])
+def test_oracle_repeated_q_exits_2(capsys, check, qs, repeated):
+    """A repeated field size would print its rows twice and redo the work."""
+    code, out, err = run(capsys, "oracle", "--check", check, "--q", qs)
+    assert (code, out, err) == (2, "", f"error: q {repeated} repeated in '{qs}'\n")
+
+
 @pytest.mark.parametrize("check", ["gr", "punctual", "hilb2", "bridges"])
 @pytest.mark.parametrize("colength", ["0", "7"])
 def test_oracle_max_colength_out_of_range_exits_2(capsys, check, colength):

@@ -29,13 +29,32 @@ from motivecount.oracle import (
 )
 from motivecount.oracle import _pure
 from motivecount.oracle.counting import MAX_SWEEP
-from motivecount.oracle.ideals import close_under_multiplication, insert_reduced, is_closed
+from motivecount.oracle.ideals import (
+    PRIMES,
+    close_under_multiplication,
+    insert_reduced,
+    is_closed,
+    pack,
+    pivot,
+    unpack,
+)
+
+
+def _basis(rows, dim):
+    """The coefficient tuples of packed (pivot, row) pairs."""
+    return tuple(unpack(v, dim) for _, v in rows)
+
+
+def _unpacked_forms(k, n, q, columns=None):
+    """reduced_echelon_forms with each packed row read back as a tuple."""
+    return [tuple(unpack(row, n) for row in form)
+            for form in reduced_echelon_forms(k, n, q, columns)]
 
 
 def _closed_record(generators, alg, q) -> IdealRecord:
     """The record of the ideal spanned by the generators and their multiples."""
-    rows = close_under_multiplication(list(generators), alg, q)
-    return IdealRecord(basis=tuple(v for _, v in rows), colength=alg.dim - len(rows))
+    rows = close_under_multiplication([pack(v) for v in generators], alg, q)
+    return IdealRecord(basis=_basis(rows, alg.dim), colength=alg.dim - len(rows))
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -53,7 +72,7 @@ def test_projective_plane_counts():
 # -- grassmannians -------------------------------------------------------------
 
 def test_reduced_echelon_forms_are_distinct():
-    forms = list(reduced_echelon_forms(2, 4, 2))
+    forms = _unpacked_forms(2, 4, 2)
     assert len(forms) == len(set(forms)) == 35
     for mat in forms:
         assert len(mat) == 2 and all(len(row) == 4 for row in mat)
@@ -68,7 +87,7 @@ def test_reduced_echelon_forms_are_the_spans(q):
         vectors = list(itertools.product(range(q), repeat=n))
         spans = {()}
         for k in range(n + 1):
-            forms = list(reduced_echelon_forms(k, n, q))
+            forms = _unpacked_forms(k, n, q)
             assert len(forms) == len(set(forms)) == grassmannian(k, n).evaluate(q), (k, n)
             assert set(forms) == spans, (k, n)
             spans = {_span_rref(span + (v,), q) for span in spans for v in vectors}
@@ -92,7 +111,7 @@ def _nested_loop_forms(k, n, q):
 def test_reduced_echelon_forms_order(q):
     for n in range(6 if q < 4 else 5):
         for k in range(n + 1):
-            assert list(reduced_echelon_forms(k, n, q)) == list(_nested_loop_forms(k, n, q))
+            assert _unpacked_forms(k, n, q) == list(_nested_loop_forms(k, n, q))
 
 
 @pytest.mark.parametrize("columns,width", [((0, 2, 3), 5), ((1, 2, 4, 6), 7), ((), 2)])
@@ -105,9 +124,9 @@ def test_reduced_echelon_forms_placed_in_columns(columns, width):
 
     for q in (2, 3):
         for k in range(len(columns) + 1):
-            placed = list(reduced_echelon_forms(k, width, q, columns))
+            placed = _unpacked_forms(k, width, q, columns)
             assert placed == [tuple(embed(row) for row in form)
-                              for form in reduced_echelon_forms(k, len(columns), q)]
+                              for form in _unpacked_forms(k, len(columns), q)]
 
 
 def test_count_grassmannian_values():
@@ -245,9 +264,18 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
     for curve in CURVES:
         for c in range(1, maxc + 1):
             alg = truncated_algebra(curve, c)
-            reference = {form for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
-                         if is_closed([(v.index(1), v) for v in form], alg, q)}
+            reference = {tuple(unpack(v, alg.dim) for v in form)
+                         for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
+                         if is_closed([(pivot(v), v) for v in form], alg, q)}
             assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
+
+
+@pytest.mark.parametrize("q", [4, 17])
+def test_closed_subspaces_need_a_prime_the_kernel_supports(q):
+    """Z/4 is not a field, and 17 overflows a packed coefficient."""
+    with pytest.raises(Unsupported, match=rf"^closed subspaces at q={q}: q must be a prime in "
+                                          r"\(2, 3, 5, 7, 11, 13\)$"):
+        enumerate_closed_subspaces(truncated_algebra("node", 2), q, 2)
 
 
 def test_ideal_records_are_canonical_and_idempotent():
@@ -293,6 +321,19 @@ def test_from_rows_rejects_bases_not_in_reduced_echelon_form(curve):
                     IdealRecord.from_rows(rows, alg, q)
 
 
+def test_from_rows_rejects_coefficients_outside_the_field():
+    """(x + y, x^2, y^2) in the node's colength-2 algebra, with y's
+    coefficient written 3 or 5: the same ideal mod 2, but not its canonical
+    basis, and 3 or 5 is not a coefficient the packed kernel reads."""
+    alg = truncated_algebra("node", 2)
+    assert alg.monomials == ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))
+    basis = ((0, 1, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
+    assert IdealRecord.from_rows(basis, alg, 2).colength == 2
+    for c in (3, 5):
+        with pytest.raises(ValueError, match="^basis not in reduced echelon form"):
+            IdealRecord.from_rows(((0, 1, 0, c, 0),) + basis[1:], alg, 2)
+
+
 def _monomial_multiple(f, monomial, alg, q):
     """f times the basis monomial x^a y^b, each coefficient shifted a times
     along mul_x and b times along mul_y (-1: the product vanishes)."""
@@ -331,9 +372,9 @@ def test_principal_closure_is_span_of_monomial_multiples(curve, q, maxc):
         alg = truncated_algebra(curve, c)
         for f in itertools.product(range(q), repeat=alg.dim):
             expected = _span_rref([_monomial_multiple(f, m, alg, q) for m in alg.monomials], q)
-            rows = close_under_multiplication([f], alg, q)
+            rows = close_under_multiplication([pack(f)], alg, q)
             # the closure is built already reduced: its rows are the canonical form
-            assert tuple(v for _, v in rows) == expected, (curve, c, q, f)
+            assert _basis(rows, alg.dim) == expected, (curve, c, q, f)
 
 
 @pytest.mark.parametrize("curve", CURVES)
@@ -350,7 +391,8 @@ def test_a_unit_generates_the_whole_algebra(curve):
     x, y2 = element(((1, 0), 1)), element(((0, 2), 2))
     unit = element(((0, 0), 2), ((0, 1), 1))  # 2 + y
     identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
-    assert tuple(v for _, v in close_under_multiplication([x, unit, y2], alg, 3)) == identity
+    rows = close_under_multiplication([pack(x), pack(unit), pack(y2)], alg, 3)
+    assert _basis(rows, alg.dim) == identity
     assert _closed_record([unit], alg, 3).colength == 0
 
 
@@ -372,10 +414,10 @@ def test_principal_closures_match_a_sweep_of_every_element(curve):
     that a sweep of all q^dim elements finds, at q = 3."""
     for c in range(1, 4):
         alg = truncated_algebra(curve, c)
-        every = {tuple(v for _, v in close_under_multiplication([f], alg, 3))
+        every = {_basis(close_under_multiplication([pack(f)], alg, 3), alg.dim)
                  for f in itertools.product(range(3), repeat=alg.dim)}
         closures = _pure.principal_closures(alg, 3)
-        assert set(closures) == every, (curve, c)
+        assert {tuple(unpack(v, alg.dim) for v in key) for key in closures} == every, (curve, c)
         assert all(key == tuple(v for _, v in rows) for key, rows in closures.items())
 
 
@@ -387,13 +429,65 @@ def test_insert_reduced_keeps_reduced_echelon_form():
         for _ in range(rng.randint(1, dim + 2)):
             v = tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(dim))
             before = len(rows)
-            new = insert_reduced(rows, v, q)
+            new = insert_reduced(rows, pack(v), q, dim)
             inserted.append(v)
             assert (new is None) == (len(rows) == before), (trial, v)
             assert [p for p, _ in rows] == sorted({p for p, _ in rows}), trial
             assert all(next(i for i, c in enumerate(r) if c) == p and r[p] == 1
-                       for p, r in rows), trial
-            assert tuple(r for _, r in rows) == _span_rref(inserted, q), trial
+                       for p, r in zip((p for p, _ in rows), _basis(rows, dim))), trial
+            assert _basis(rows, dim) == _span_rref(inserted, q), trial
+
+
+# -- the packed kernel against tuple elimination ----------------------------------
+
+def test_pack_round_trip():
+    """Coefficient i is byte i; trailing zeros are restored by the length."""
+    for v in [(), (0,), (0, 0, 0), (1,), (1, 0, 0), (0, 0, 5, 0), (12,) * 13,
+              (0, 3, 0, 0, 0), tuple(range(13))]:
+        assert unpack(pack(v), len(v)) == v
+    assert pack((1, 2, 0, 0)) == pack((1, 2)) == 0x0201
+    vectors = [(1,), (0, 2), (0, 0, 0, 7, 1), (0,) * 12 + (1,)]
+    assert [pivot(pack(v)) for v in vectors] == [0, 1, 3, 12]
+
+
+def _tuple_is_closed(basis, alg, q):
+    """Whether adding every x- and y-multiple leaves the span's dimension."""
+    multiples = [_monomial_multiple(v, m, alg, q) for v in basis for m in ((1, 0), (0, 1))]
+    return len(_span_rref(list(basis) + multiples, q)) == len(basis)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_kernel_matches_tuple_elimination(q):
+    """close_under_multiplication, insert_reduced and is_closed on packed
+    vectors agree with Gauss-Jordan elimination on coefficient tuples, over
+    every prime the kernel supports, on both germs up to colength 6."""
+    rng = random.Random(1000 + q)
+    for curve in CURVES:
+        for c in range(1, 7):
+            alg = truncated_algebra(curve, c)
+            for trial in range(20):
+                def vector():
+                    return tuple(rng.randrange(q) if rng.random() < 0.4 else 0
+                                 for _ in range(alg.dim))
+                # a unit closes at once, so most generator sets have none
+                gens = [(rng.randrange(q) if trial == 0 else 0,) + vector()[1:]
+                        for _ in range(rng.randint(1, 3))]
+                expected = _span_rref([_monomial_multiple(f, m, alg, q)
+                                       for f in gens for m in alg.monomials], q)
+                rows = close_under_multiplication([pack(f) for f in gens], alg, q)
+                assert _basis(rows, alg.dim) == expected, (curve, c, gens)
+                assert is_closed(rows, alg, q)
+
+                vectors = [vector() for _ in range(rng.randint(1, alg.dim))]
+                rows, span = [], ()
+                for k, v in enumerate(vectors):
+                    new = insert_reduced(rows, pack(v), q, alg.dim)
+                    grown = _span_rref(vectors[:k + 1], q)
+                    assert _basis(rows, alg.dim) == grown, (curve, c, vectors[:k + 1])
+                    assert (new is None) == (len(grown) == len(span)), (curve, c, v)
+                    assert new is None or new in rows, (curve, c, v)
+                    span = grown
+                assert is_closed(rows, alg, q) == _tuple_is_closed(span, alg, q), (curve, c)
 
 
 def test_order_independence(monkeypatch):
