@@ -31,7 +31,6 @@ from .strata import (
     ConsistencyReport,
     StratumSpec,
     VerificationReport,
-    VerificationSuite,
     assemble,
     omega26_assembled,
     omega26_parts,
@@ -44,9 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityError", "ConsistencyReport", "DivisionNotExact", "L", "MotiveClass",
     "NotEffective", "ONE", "OutOfRange", "ParseError", "StratumSpec",
-    "Unsupported", "VarietyExpr", "VerificationReport", "VerificationSuite",
-    "ZERO", "affine", "assemble", "eval_expr", "evaluate", "format_expr",
-    "grassmannian", "hilb_p2", "linear_system", "omega26_assembled",
-    "omega26_parts", "omega_locus", "parse", "projective", "registry",
-    "universal_curve", "verify_all",
+    "Unsupported", "VarietyExpr", "VerificationReport", "ZERO", "affine",
+    "assemble", "eval_expr", "evaluate", "format_expr", "grassmannian",
+    "hilb_p2", "linear_system", "omega26_assembled", "omega26_parts",
+    "omega_locus", "parse", "projective", "registry", "universal_curve",
+    "verify_all",
 ]

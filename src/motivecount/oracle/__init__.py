@@ -11,7 +11,6 @@ from .counting import (
     BudgetExceeded,
     CSV_HEADER,
     FqCountResult,
-    bridge_check,
     bridge_check_all,
     count_grassmannian,
     count_hilb2_p2,
@@ -29,8 +28,7 @@ from .tables import MAX_COLENGTH, TableRow, expected_class, expected_count, rows
 __all__ = [
     "BRIDGES", "BudgetExceeded", "CSV_HEADER", "CURVES", "FqCountResult",
     "IdealRecord", "LocalAlgebra", "MAX_COLENGTH", "NODE", "RIBBON",
-    "TableRow", "bridge_check",
-    "bridge_check_all", "count_grassmannian", "count_hilb2_p2",
+    "TableRow", "bridge_check_all", "count_grassmannian", "count_hilb2_p2",
     "count_punctual_ideals", "count_punctual_total_vs_table", "count_sym2_p2",
     "enumerate_closed_subspaces", "expected_class",
     "expected_count", "projective_plane_count", "punctual_ideal_records",

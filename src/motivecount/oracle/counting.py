@@ -199,12 +199,6 @@ BRIDGES = {
 }
 
 
-def bridge_check(name: str, qs) -> list[FqCountResult]:
-    """Compare one registered counter against its class at each q."""
-    bridge = BRIDGES[name]
-    return [run_bridge(bridge, q) for q in qs]
-
-
 def bridge_check_all(qs) -> list[FqCountResult]:
     """Every registered bridge at every q; mismatches are data, not errors."""
     return [run_bridge(bridge, q) for bridge in BRIDGES.values() for q in qs]

@@ -2,9 +2,10 @@
 
 Every registered stratum is stored as expression-language source (see
 ``data/strata.json``) so each formula stays readable and auditable.  The
-assembly layer sums the strata per target, checks the result against the
-pinned reference tables, and reports structural properties (palindromic,
-effective, constant term 1, degree = expected dimension).
+assembly layer sums the strata per target and reports five flags: the
+table matches the pinned reference table, the Euler number matches the
+pinned one, the class is palindromic, its degree is the moduli dimension,
+and its coefficients are nonnegative.
 
 The conic-locus consistency report rebuilds the pinned Omega(2,6) class
 bottom-up from its sub-strata and records every intermediate class, the
@@ -17,7 +18,7 @@ verification path never depends on it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -47,13 +48,11 @@ EXPECTED_EULER = {"m11": 3, "m21": 6, "m31": 27, "m41": 192, "m51": 1695, "m52":
 
 @dataclass(frozen=True)
 class StratumSpec:
-    """A registered stratum: identifier, provenance note, formula source,
-    and (when known in closed form) the expected class."""
+    """A registered stratum: identifier, provenance note, formula source."""
 
     id: str
     paper_ref: str
     expr: str
-    expected: MotiveClass | None = None
 
     def parsed(self) -> VarietyExpr:
         return parse(self.expr)
@@ -66,16 +65,7 @@ class StratumSpec:
 def _load_registry() -> tuple[StratumSpec, ...]:
     raw = json.loads(
         resources.files("motivecount").joinpath("data/strata.json").read_text())
-    specs = []
-    for entry in raw:
-        expected = entry.get("expected")
-        specs.append(StratumSpec(
-            id=entry["id"],
-            paper_ref=entry["paper_ref"],
-            expr=entry["expr"],
-            expected=MotiveClass(expected) if expected is not None else None,
-        ))
-    return tuple(specs)
+    return tuple(StratumSpec(**entry) for entry in raw)
 
 
 def registry() -> tuple[StratumSpec, ...]:
@@ -91,64 +81,47 @@ def omega26_parts() -> tuple[StratumSpec, ...]:
 def strata_for(target: str) -> tuple[StratumSpec, ...]:
     if target not in TARGETS:
         raise KeyError(f"unknown target {target!r}")
-    if "." not in target and any(s.id == target for s in registry()):
-        return tuple(s for s in registry() if s.id == target)
-    return tuple(s for s in registry() if s.id.startswith(target + "."))
+    return tuple(s for s in registry() if s.id.split(".")[0] == target)
 
 
 # -- verification -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReportFlags:
-    table_match: bool
-    euler_match: bool
-    palindromic: bool
-    degree_matches_dimension: bool
-    nonnegative: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.as_dict().values())
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """A target's stratum classes and their sum; every check is derived."""
+
     target: str
     strata: tuple[tuple[str, MotiveClass], ...]
     assembled: MotiveClass
-    expected: MotiveClass
-    euler_assembled: int
-    flags: ReportFlags
+
+    @property
+    def expected(self) -> MotiveClass:
+        return MotiveClass(EXPECTED_TABLE[self.target])
+
+    @property
+    def euler_assembled(self) -> int:
+        return self.assembled.euler()
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        assembled = self.assembled
+        return {
+            "table_match": assembled == self.expected,
+            "euler_match": assembled.euler() == EXPECTED_EULER[self.target],
+            "palindromic": assembled.is_palindromic(),
+            "degree_matches_dimension": assembled.degree == DIMENSION[self.target],
+            "nonnegative": assembled.is_effective(),
+        }
 
     @property
     def passed(self) -> bool:
-        return self.flags.all_pass
+        return all(self.flags.values())
 
 
 def assemble(target: str) -> VerificationReport:
-    """Sum the registered strata of a target and verify the result."""
-    specs = strata_for(target)
-    classes = tuple((s.id, s.value()) for s in specs)
-    assembled = sum((c for _, c in classes), ZERO)
-    expected = MotiveClass(EXPECTED_TABLE[target])
-    flags = ReportFlags(
-        table_match=assembled == expected,
-        euler_match=assembled.euler() == EXPECTED_EULER[target],
-        palindromic=assembled.is_palindromic(),
-        degree_matches_dimension=assembled.degree == DIMENSION[target],
-        nonnegative=assembled.is_effective(),
-    )
-    return VerificationReport(
-        target=target,
-        strata=classes,
-        assembled=assembled,
-        expected=expected,
-        euler_assembled=assembled.euler(),
-        flags=flags,
-    )
+    """Sum the registered strata of a target."""
+    strata = tuple((s.id, s.value()) for s in strata_for(target))
+    return VerificationReport(target, strata, sum((c for _, c in strata), ZERO))
 
 
 # -- conic-locus consistency ---------------------------------------------------
@@ -159,9 +132,12 @@ class DivisionOutcome:
 
     n: int
     numerator: MotiveClass
-    exact: bool
     quotient: MotiveClass | None
     detail: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return self.quotient is not None
 
 
 @dataclass(frozen=True)
@@ -170,8 +146,14 @@ class ConsistencyReport:
     divisions: tuple[DivisionOutcome, ...]
     assembled: MotiveClass
     stated: MotiveClass
-    difference: MotiveClass
-    matches: bool
+
+    @property
+    def difference(self) -> MotiveClass:
+        return self.assembled - self.stated
+
+    @property
+    def matches(self) -> bool:
+        return self.assembled == self.stated
 
 
 def omega26_assembled() -> ConsistencyReport:
@@ -205,55 +187,30 @@ def omega26_assembled() -> ConsistencyReport:
             rn = rn + parts["integral"]
         try:
             quotient = rn.exact_div(projective(n))
-            divisions.append(DivisionOutcome(n, rn, True, quotient))
+            divisions.append(DivisionOutcome(n, rn, quotient))
             assembled = assembled + quotient
         except DivisionNotExact as exc:
-            divisions.append(DivisionOutcome(n, rn, False, None, str(exc)))
+            divisions.append(DivisionOutcome(n, rn, None, str(exc)))
 
-    stated = omega_locus(2, 6)
-    difference = assembled - stated
-    return ConsistencyReport(
-        parts=ordered,
-        divisions=tuple(divisions),
-        assembled=assembled,
-        stated=stated,
-        difference=difference,
-        matches=difference == ZERO,
-    )
+    return ConsistencyReport(ordered, tuple(divisions), assembled, omega_locus(2, 6))
 
 
-@dataclass(frozen=True)
-class VerificationSuite:
-    reports: tuple[VerificationReport, ...]
-    omega26: ConsistencyReport
-
-    @property
-    def passed(self) -> bool:
-        """Hard criteria only; the consistency comparison is informational."""
-        return all(r.passed for r in self.reports)
-
-
-def verify_all() -> VerificationSuite:
-    """Assemble and verify every target, plus the conic-locus diagnostic."""
-    reports = tuple(assemble(t) for t in TARGETS)
-    return VerificationSuite(reports=reports, omega26=omega26_assembled())
+def verify_all() -> tuple[tuple[VerificationReport, ...], ConsistencyReport]:
+    """Every target's report, and the conic-locus diagnostic, which is
+    informational: the targets' reports alone decide the pass."""
+    return tuple(assemble(t) for t in TARGETS), omega26_assembled()
 
 
 # -- renderings ----------------------------------------------------------------
 
-def betti_rows(cls: MotiveClass) -> list[tuple[int, int]]:
-    """Rows (i, b_2i) of the Betti table of a class."""
-    return list(enumerate(cls.coeffs))
-
-
 def betti_markdown(cls: MotiveClass) -> str:
     lines = ["| i | b_2i |", "|---:|---:|"]
-    lines += [f"| {i} | {b} |" for i, b in betti_rows(cls)]
+    lines += [f"| {i} | {b} |" for i, b in enumerate(cls.coeffs)]
     return "\n".join(lines) + "\n"
 
 
 def betti_csv(cls: MotiveClass) -> str:
-    lines = ["i,b_2i"] + [f"{i},{b}" for i, b in betti_rows(cls)]
+    lines = ["i,b_2i"] + [f"{i},{b}" for i, b in enumerate(cls.coeffs)]
     return "\n".join(lines) + "\n"
 
 
@@ -264,7 +221,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "assembled": list(report.assembled.coeffs),
         "expected": list(report.expected.coeffs),
         "euler_assembled": report.euler_assembled,
-        "flags": report.flags.as_dict(),
+        "flags": report.flags,
         "pass": report.passed,
     }
 
@@ -296,31 +253,18 @@ def consistency_to_dict(report: ConsistencyReport) -> dict:
     }
 
 
-def _verification_dict(reports: tuple[VerificationReport, ...],
-                       omega26: ConsistencyReport | None) -> dict:
+def verification_dict(reports: tuple[VerificationReport, ...],
+                      omega26: ConsistencyReport | None) -> dict:
+    """The JSON document of what ``verify`` computed; ``report`` adds the
+    bridges to it."""
     doc = {"schema": 1}
     if reports:
         doc["reports"] = [report_to_dict(r) for r in reports]
     if omega26 is not None:
         doc["omega26_consistency"] = consistency_to_dict(omega26)
-    if reports and omega26 is not None:  # a suite
+    if reports and omega26 is not None:  # verify_all()
         doc["pass"] = all(r.passed for r in reports)
     return doc
-
-
-def suite_to_dict(suite: VerificationSuite) -> dict:
-    return _verification_dict(suite.reports, suite.omega26)
-
-
-def registry_to_json() -> str:
-    """Serialize the full registry in its exchange format."""
-    entries = []
-    for s in _load_registry():
-        entry = {"id": s.id, "paper_ref": s.paper_ref, "expr": s.expr}
-        if s.expected is not None:
-            entry["expected"] = list(s.expected.coeffs)
-        entries.append(entry)
-    return json.dumps(entries, indent=2) + "\n"
 
 
 def report_markdown(report: VerificationReport) -> str:
@@ -328,7 +272,7 @@ def report_markdown(report: VerificationReport) -> str:
     lines.append(f"Euler number: {report.euler_assembled}")
     lines.append(f"Degree: {report.assembled.degree}")
     flag_text = ", ".join(f"{k}={'pass' if v else 'FAIL'}"
-                          for k, v in report.flags.as_dict().items())
+                          for k, v in report.flags.items())
     lines.append(f"Checks: {flag_text}")
     lines.append("")
     lines.append(betti_markdown(report.assembled))
@@ -342,7 +286,7 @@ def report_text(report: VerificationReport) -> str:
         lines.append(f"  {sid}: {cls}")
     lines.append(f"  assembled: {report.assembled}")
     lines.append(f"  euler: {report.euler_assembled}")
-    for k, v in report.flags.as_dict().items():
+    for k, v in report.flags.items():
         lines.append(f"  {k}: {'pass' if v else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
@@ -374,19 +318,19 @@ def consistency_text(c: ConsistencyReport) -> str:
 def render_verification(reports: tuple[VerificationReport, ...],
                         omega26: ConsistencyReport | None, fmt: str) -> str:
     """Render what ``verify`` computed, in json, csv, md or text: every
-    target's report with the consistency report (a suite), one target's
-    report, or the consistency report.  A suite's md and text are its parts'
-    blocks in turn; its json adds the overall pass, and its CSV is one table
-    keyed by target, with no consistency rows."""
-    suite = bool(reports) and omega26 is not None
+    target's report with the consistency report (``verify_all()``), one
+    target's report, or the consistency report.  For every target, md and
+    text are the parts' blocks in turn; json adds the overall pass, and CSV
+    is one table keyed by target, with no consistency rows."""
+    every_target = bool(reports) and omega26 is not None
     consistency = [] if omega26 is None else [omega26]
     if fmt == "json":
-        return json.dumps(_verification_dict(reports, omega26), indent=2) + "\n"
+        return json.dumps(verification_dict(reports, omega26), indent=2) + "\n"
     if fmt == "csv":
-        if not suite:
+        if not every_target:
             return betti_csv((reports[0] if reports else omega26).assembled)
         lines = ["target,i,b_2i"] + [f"{r.target},{i},{b}" for r in reports
-                                     for i, b in betti_rows(r.assembled)]
+                                     for i, b in enumerate(r.assembled.coeffs)]
         return "\n".join(lines) + "\n"
     if fmt == "md":
         return "\n".join([report_markdown(r) for r in reports]

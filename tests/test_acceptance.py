@@ -108,7 +108,7 @@ def test_criterion_7_consistency_report_complete_and_deterministic():
         len(part_ids) == 16
         and all(cls.euler() == cls.evaluate(1) for _, cls in report.parts)
         and {d.n for d in report.divisions} == {0, 1, 2}
-        and all(d.exact is not None for d in report.divisions)
+        and all(d.exact for d in report.divisions)
         and report.difference == report.assembled - report.stated
     )
     report2 = omega26_assembled()

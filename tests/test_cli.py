@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import shlex
@@ -362,6 +363,10 @@ def test_oracle_bad_q(capsys):
     code, _, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
     assert code == 2
     assert "error" in err
+    # an empty item is an error, not skipped
+    for qs in ("2,,3", "2,", ",2", ""):
+        code, out, err = run(capsys, "oracle", "--check", "gr", "--q", qs)
+        assert (code, out, err) == (2, "", f"error: bad q list {qs!r}\n")
 
 
 @pytest.mark.parametrize("check,qs,repeated", [("gr", "2,2", 2), ("punctual", "3,3", 3),
@@ -389,6 +394,31 @@ def test_report_json(capsys, shared_bridges):
     assert len(doc["reports"]) == 6
     assert doc["bridges"]
     assert all(b["status"] == "pass" for b in doc["bridges"])
+
+
+#: sha256 of stdout; each command exits 0
+PINNED_OUTPUTS = {
+    "verify --target all --format json":
+        "2ab99375ceeb99a2a15fa9ed094be078110de95167064799002790c6b3f175d1",
+    "verify --target all --format csv":
+        "f237c21b5debc1fc1b287b5c26472c3d25d28f379c863810a88c70855394f344",
+    "verify --target all --format md":
+        "3a346327d1e81936a07e6d6998356e56330b6d95f7c7e709058c4eec75e11e06",
+    "verify --target all --format text":
+        "a3ee07196bcfa9ae6d5b6a18d2addfa8fe25b144f781e1e25e52fb75cfb29e19",
+    "report --format json":
+        "29ebfa0d06393cb3d6b8c96c7532fe406b88b5ece589fd94622709b6ad78a7d4",
+    "report --format md":
+        "22256e92feac033597310ab901f45961771fd7454b28d160ebf1a11fd6168ecf",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS)
+def test_output_bytes_pinned(capsys, shared_bridges, argv):
+    """The verification and report documents, byte for byte."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[argv]
 
 
 def _readme_commands():

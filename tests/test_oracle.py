@@ -11,7 +11,6 @@ from motivecount.oracle import (
     CURVES,
     BudgetExceeded,
     IdealRecord,
-    bridge_check,
     count_grassmannian,
     count_hilb2_p2,
     count_punctual_ideals,
@@ -25,6 +24,7 @@ from motivecount.oracle import (
     reduced_echelon_forms,
     results_to_csv,
     rows_for,
+    run_bridge,
     truncated_algebra,
 )
 from motivecount.oracle import _pure
@@ -559,10 +559,10 @@ def test_bridges():
     assert "gr(2,6)" in BRIDGES and "hilb2" in BRIDGES and "sym2p2" in BRIDGES
     assert "punctual:ribbon:4" in BRIDGES and "punctual:ribbon:5" not in BRIDGES
     assert len(BRIDGES) == 16
-    results = bridge_check("gr(2,6)", [2])
-    assert len(results) == 1 and results[0].count == 651 and results[0].passed
+    result = run_bridge(BRIDGES["gr(2,6)"], 2)
+    assert result.count == 651 and result.passed
     with pytest.raises(KeyError):
-        bridge_check("gr(9,9)", [2])
+        run_bridge(BRIDGES["gr(9,9)"], 2)
 
 
 def test_bridge_check_all_passes(bridges_q23):
