@@ -15,7 +15,6 @@ Three layers:
 """
 
 from .atoms import (
-    OutOfRange,
     Unsupported,
     affine,
     grassmannian,
@@ -42,10 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityError", "ConsistencyReport", "DivisionNotExact", "L", "MotiveClass",
-    "NotEffective", "ONE", "OutOfRange", "ParseError", "StratumSpec",
-    "Unsupported", "VarietyExpr", "VerificationReport", "ZERO", "affine",
-    "assemble", "eval_expr", "evaluate", "format_expr", "grassmannian",
-    "hilb_p2", "linear_system", "omega26_assembled", "omega26_parts",
-    "omega_locus", "parse", "projective", "registry", "universal_curve",
-    "verify_all",
+    "NotEffective", "ONE", "ParseError", "StratumSpec", "Unsupported",
+    "VarietyExpr", "VerificationReport", "ZERO", "affine", "assemble",
+    "eval_expr", "evaluate", "format_expr", "grassmannian", "hilb_p2",
+    "linear_system", "omega26_assembled", "omega26_parts", "omega_locus",
+    "parse", "projective", "registry", "universal_curve", "verify_all",
 ]

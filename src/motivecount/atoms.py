@@ -7,6 +7,9 @@ classes inside the Hilbert scheme are pinned constants, certified elsewhere.
 Each constructor's name is an atom kind of :data:`motivecount.dsl.ATOMS`,
 which holds its syntax and degree rule; the expression language looks the
 constructor up by that name when it evaluates an atom.
+
+Parameters outside a constructor's implemented range raise
+:class:`Unsupported`, the one refusal type of the calculator and the oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ from .motive import MotiveClass, power_exp
 HILB_MAX = 8
 
 
-class OutOfRange(ValueError):
-    """Atom parameter outside the implemented range."""
-
-
 class Unsupported(ValueError):
-    """Parameter combination the calculator does not implement."""
+    """Input the calculator or the oracle declines: an atom parameter outside
+    the implemented range, a field size a counter does not support, or a
+    punctual count over the sweep limit.  The command line reports it as
+    exit 2, and an oracle comparison as a skipped row with its reason."""
 
 
 def affine(n: int) -> MotiveClass:
@@ -74,14 +76,14 @@ def hilb_p2(n: int) -> MotiveClass:
     if n < 0:
         raise ValueError("number of points must be >= 0")
     if n > HILB_MAX:
-        raise OutOfRange(f"hilb_p2 implemented for n <= {HILB_MAX}, got {n}")
+        raise Unsupported(f"hilb_p2 implemented for n <= {HILB_MAX}, got {n}")
     return power_exp([projective(2) * affine(m - 1) for m in range(1, n + 1)], n)
 
 
 def linear_system(d: int) -> MotiveClass:
     """Class of the space of plane curves of degree d: P^(d(d+3)/2)."""
     if d < 1:
-        raise OutOfRange(f"linear_system requires degree >= 1, got {d}")
+        raise Unsupported(f"linear_system requires degree >= 1, got {d}")
     return projective(d * (d + 3) // 2)
 
 
@@ -92,7 +94,7 @@ def universal_curve(d: int) -> MotiveClass:
     so the class is P^2 times P^(d(d+3)/2 - 1).
     """
     if d < 1:
-        raise OutOfRange(f"universal_curve requires degree >= 1, got {d}")
+        raise Unsupported(f"universal_curve requires degree >= 1, got {d}")
     return projective(2) * projective(d * (d + 3) // 2 - 1)
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .atoms import OutOfRange, Unsupported
+from .atoms import Unsupported
 from .dsl import ArityError, ParseError, evaluate
 from .motive import NotEffective
 from .oracle import (
@@ -22,6 +22,7 @@ from .oracle import (
     MAX_COLENGTH,
     bridge_check_all,
     count_punctual_total_vs_table,
+    result_fields,
     results_to_csv,
     run_bridge,
 )
@@ -116,22 +117,24 @@ def cmd_oracle(args) -> int:
     return 0 if all(r.passed or r.skipped for r in results) else 1
 
 
+def _md_row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
 def cmd_report(args) -> int:
     reports, omega26 = verify_all()
     bridges = bridge_check_all([2, 3])
+    rows = [result_fields(r) for r in bridges]
     if args.format == "json":
         doc = verification_dict(reports, omega26)
-        doc["bridges"] = [
-            {"counter": r.counter, "q": r.q, "params": r.params,
-             "count": r.count, "expected": r.expected, "status": r.status}
-            for r in bridges
-        ]
+        doc["bridges"] = rows
         _write(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        lines = ["# oracle bridges", "", "| counter | q | params | count | expected | status |",
-                 "|---|---:|---|---:|---:|---|"]
-        lines += [f"| {r.counter} | {r.q} | {r.params} | {r.count} | {r.expected} | {r.status} |"
-                  for r in bridges]
+        # numeric columns are right-aligned
+        lines = ["# oracle bridges", "", _md_row(rows[0]),
+                 "|" + "|".join("---" if isinstance(v, str) else "---:"
+                                for v in rows[0].values()) + "|"]
+        lines += [_md_row(row.values()) for row in rows]
         _write(render_verification(reports, omega26, "md") + "\n"
                + "\n".join(lines) + "\n", args.output)
     ok = all(r.passed for r in reports) and all(r.passed or r.skipped for r in bridges)
@@ -183,7 +186,7 @@ def main(argv=None) -> int:
     except ArityError as exc:
         print(f"ArityError: {exc}", file=sys.stderr)
         return 2
-    except (Unsupported, OutOfRange, NotEffective, UsageError, OSError) as exc:
+    except (Unsupported, NotEffective, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -179,6 +179,10 @@ def _lex(src: str) -> list[_Token]:
     return toks
 
 
+def _sum(items: list) -> VarietyExpr:
+    return items[0] if len(items) == 1 else Sum(tuple(items))
+
+
 class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
@@ -237,19 +241,19 @@ class _Parser:
     def expr(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset
         acc, degree, norm = self.term()
+        # the operands of the sum being built, so that each Sum node is made
+        # once; a parenthesised sum as first operand is flattened into it
+        items = list(acc.items) if isinstance(acc, Sum) else [acc]
         while self._peek().kind in "+-":
             op = self._take().kind
             rhs, rhs_degree, rhs_norm = self.term()
             degree = max(degree, rhs_degree)
             norm = self._bound(offset, norm + rhs_norm)
             if op == "+":
-                if isinstance(acc, Sum):
-                    acc = Sum(acc.items + (rhs,))
-                else:
-                    acc = Sum((acc, rhs))
+                items.append(rhs)
             else:
-                acc = Diff(acc, rhs)
-        return acc, degree, norm
+                items = [Diff(_sum(items), rhs)]
+        return _sum(items), degree, norm
 
     def term(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset

@@ -6,12 +6,13 @@ q^dim of them), and sums the distinct principal ideals pairwise.  Every
 basis is built already in reduced echelon form, so it is its own canonical
 key.
 
-A punctual count whose sweep would visit more than :data:`MAX_SWEEP`
-elements raises :class:`BudgetExceeded`.  The limit admits every tabulated cell at q = 2
-(colength up to 6) and at q = 3 up to colength 4.  A counter asked for a
-field size it does not support raises :class:`~motivecount.atoms.Unsupported`.
-Every comparison goes through :func:`run_bridge`, which reports both as a
-skipped row with its reason, never as a failure.
+A counter declines a count it will not make by raising
+:class:`~motivecount.atoms.Unsupported`: a field size it does not support,
+or a punctual sweep over :data:`MAX_SWEEP` elements.  The limit admits every
+tabulated cell at q = 2 (colength up to 6) and at q = 3 up to colength 4.
+Every comparison goes through :func:`run_bridge`, which reports a declined
+count as a skipped row with its reason, never as a failure.  Every report
+prints a row's columns from :func:`result_fields`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ from .tables import MAX_COLENGTH, expected_class
 MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
 
 
-class BudgetExceeded(RuntimeError):
-    """Punctual count whose sweep, one element per scalar class of the
-    algebra, exceeds :data:`MAX_SWEEP` elements."""
-
-
 # -- punctual ideals -----------------------------------------------------------
 
 def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealRecord, ...]:
@@ -58,7 +54,7 @@ def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealReco
     alg = truncated_algebra(curve, colength)
     sweep = 1 + (q ** alg.dim - 1) // (q - 1)
     if sweep > MAX_SWEEP:
-        raise BudgetExceeded(
+        raise Unsupported(
             f"{curve} colength {colength} at q={q}: sweeps {sweep} elements, "
             f"one per scalar class (at most {MAX_SWEEP})")
     records = _pure.enumerate_ideals(alg, q, colength)
@@ -84,14 +80,18 @@ def count_grassmannian(k: int, n: int, q: int) -> int:
 
 # -- hilbert scheme of two points ----------------------------------------------
 
+def _plane_counts(counter: str, q: int) -> tuple[int, int]:
+    """The plane's point counts over F_q and F_(q^2), for a length-2 counter."""
+    if q not in (2, 3):
+        raise Unsupported(f"{counter} at q={q}: counting supports q in (2, 3)")
+    return projective_plane_count(q), projective_plane_count(q * q)
+
+
 def count_hilb2_p2(q: int) -> int:
     """Length-2 subschemes of the plane rational over F_q: unordered pairs
     of distinct rational points, plus conjugate pairs defined over the
     quadratic extension, plus a tangent direction at each rational point."""
-    if q not in (2, 3):
-        raise Unsupported(f"hilb2 at q={q}: counting supports q in (2, 3)")
-    n1 = projective_plane_count(q)
-    n2 = projective_plane_count(q * q)
+    n1, n2 = _plane_counts("hilb2", q)
     return n1 * (n1 - 1) // 2 + (n2 - n1) // 2 + n1 * (q + 1)
 
 
@@ -99,10 +99,7 @@ def count_sym2_p2(q: int) -> int:
     """Unordered point pairs of the plane (symmetric square) over F_q:
     (N1^2 + N2) / 2 with N1, N2 the plane's point counts over F_q and its
     quadratic extension."""
-    if q not in (2, 3):
-        raise Unsupported(f"sym2p2 at q={q}: counting supports q in (2, 3)")
-    n1 = projective_plane_count(q)
-    n2 = projective_plane_count(q * q)
+    n1, n2 = _plane_counts("sym2p2", q)
     return (n1 * n1 + n2) // 2
 
 
@@ -121,7 +118,8 @@ class Bridge:
 
 @dataclass(frozen=True)
 class FqCountResult:
-    """Outcome of one oracle comparison: brute-force count vs polynomial."""
+    """Outcome of one oracle comparison: brute-force count vs polynomial.
+    A declined count is ``None``, with the reason it was declined."""
 
     counter: str
     q: int
@@ -129,47 +127,53 @@ class FqCountResult:
     count: int | None
     expected: int
     millis: float
-    skipped: bool = False
-    reason: str = ""
+    reason: str
+
+    @property
+    def skipped(self) -> bool:
+        return self.count is None
 
     @property
     def passed(self) -> bool:
-        return not self.skipped and self.count == self.expected
+        return self.count == self.expected
 
     @property
     def status(self) -> str:
         return "skip" if self.skipped else ("pass" if self.passed else "fail")
 
 
-CSV_HEADER = "counter,q,params,count,expected,pass,millis"
+#: an oracle row's columns, in order: attributes of :class:`FqCountResult`
+_COLUMNS = ("counter", "q", "params", "count", "expected", "status")
+
+
+def result_fields(r: FqCountResult) -> dict[str, object]:
+    """One oracle row's columns by name, in order, as every report prints
+    them; a skipped row's count is ``None``."""
+    return {name: getattr(r, name) for name in _COLUMNS}
 
 
 def results_to_csv(results) -> str:
+    """Oracle rows as CSV: the columns of :func:`result_fields` (status headed
+    ``pass``, a skipped count empty), then the count's time in ms."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(["pass" if name == "status" else name for name in _COLUMNS] + ["millis"])
     for r in results:
-        writer.writerow([
-            r.counter, r.q, r.params,
-            "" if r.count is None else r.count,
-            r.expected, r.status, f"{r.millis:.1f}",
-        ])
+        writer.writerow([*result_fields(r).values(), f"{r.millis:.1f}"])
     return buf.getvalue()
 
 
 def run_bridge(bridge: Bridge, q: int) -> FqCountResult:
     """Count at q and compare with the class evaluated at L = q.  A count
-    over the sweep limit, or at a q its counter does not support, is a
-    skipped row with its reason."""
+    its counter declines is a skipped row with its reason."""
     expected = bridge.expected().evaluate(q)
     start = time.perf_counter()
     try:
         count, reason = bridge.count(q), ""
-    except (BudgetExceeded, Unsupported) as exc:
+    except Unsupported as exc:
         count, reason = None, str(exc)
     millis = (time.perf_counter() - start) * 1000.0
-    return FqCountResult(bridge.counter, q, bridge.params, count, expected, millis,
-                         skipped=count is None, reason=reason)
+    return FqCountResult(bridge.counter, q, bridge.params, count, expected, millis, reason)
 
 
 def _punctual_bridge(curve: str, colength: int) -> Bridge:

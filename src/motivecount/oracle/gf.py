@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from itertools import product
 
+from ..atoms import Unsupported
+
 
 def projective_plane_count(q: int) -> int:
     """Number of points of the projective plane over F_q, counted by
     enumerating coordinate triples and keeping the scaled representative
     whose first nonzero coordinate is 1."""
     if q not in (2, 3, 4, 9):
-        raise ValueError(f"field order {q} not supported (need one of [2, 3, 4, 9])")
+        raise Unsupported(f"field order {q} not supported (need one of [2, 3, 4, 9])")
     return sum(1 for v in product(range(q), repeat=3)
                if next((c for c in v if c), None) == 1)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from motivecount import MotiveClass, OutOfRange, Unsupported, atoms
+from motivecount import MotiveClass, Unsupported, atoms
 from motivecount.atoms import (
     affine,
     grassmannian,
@@ -122,7 +122,7 @@ def test_hilb_euler_table():
 
 
 def test_hilb_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(Unsupported, match=r"^hilb_p2 implemented for n <= 8, got 9$"):
         hilb_p2(9)
 
 

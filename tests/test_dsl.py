@@ -36,6 +36,15 @@ def test_parse_assembly_expression():
     assert isinstance(first, Prod) and isinstance(first.items[0], Diff)
 
 
+def test_parse_sum_shapes():
+    p1, p2, p3 = (Atom("projective", (n,)) for n in (1, 2, 3))
+    # a parenthesised first operand is flattened, a later one is not
+    assert parse("(P1+P2)+P3") == Sum((p1, p2, p3))
+    assert parse("P1+(P2+P3)") == Sum((p1, Sum((p2, p3))))
+    assert parse("P1+P2-P3+L") == Sum((Diff(Sum((p1, p2)), p3), Lefschetz()))
+    assert parse("(P1+P2)-P3") == Diff(Sum((p1, p2)), p3)
+
+
 def test_parse_whitespace_insensitive():
     assert parse(" P2 * P 13 ") == parse("P2*P13")
     assert parse("Gr ( 2 , 6 )") == parse("Gr(2,6)")

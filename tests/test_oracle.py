@@ -9,8 +9,9 @@ from motivecount.atoms import Unsupported, grassmannian, hilb_p2, projective
 from motivecount.oracle import (
     BRIDGES,
     CURVES,
-    BudgetExceeded,
+    FqCountResult,
     IdealRecord,
+    bridge_check_all,
     count_grassmannian,
     count_hilb2_p2,
     count_punctual_ideals,
@@ -22,6 +23,7 @@ from motivecount.oracle import (
     projective_plane_count,
     punctual_ideal_records,
     reduced_echelon_forms,
+    result_fields,
     results_to_csv,
     rows_for,
     run_bridge,
@@ -65,7 +67,7 @@ def test_projective_plane_counts():
     assert projective_plane_count(4) == 21
     assert projective_plane_count(9) == 91
     for q in (1, 5, 8):
-        with pytest.raises(ValueError, match=rf"^field order {q} not supported"):
+        with pytest.raises(Unsupported, match=rf"^field order {q} not supported"):
             projective_plane_count(q)
 
 
@@ -517,9 +519,9 @@ def test_budget_exceeded(monkeypatch):
     for curve in CURVES:
         for colength, sweep in ((5, 88574), (6, 797162)):
             assert 1 + (3 ** truncated_algebra(curve, colength).dim - 1) // 2 == sweep > MAX_SWEEP
-            with pytest.raises(BudgetExceeded, match=rf"^{curve} colength {colength} at q=3: "
-                                                     rf"sweeps {sweep} elements, one per scalar "
-                                                     rf"class \(at most 9842\)$"):
+            with pytest.raises(Unsupported, match=rf"^{curve} colength {colength} at q=3: "
+                                                  rf"sweeps {sweep} elements, one per scalar "
+                                                  rf"class \(at most 9842\)$"):
                 count_punctual_ideals(curve, colength, 3)
 
 
@@ -553,6 +555,15 @@ def test_results_csv():
     assert lines[0] == "counter,q,params,count,expected,pass,millis"
     assert lines[1].startswith("punctual,2,node:1,1,1,pass,")
     assert lines[2].startswith("punctual,3,node:5,,13,skip,")
+    assert result_fields(rows[1]) == {"counter": "punctual", "q": 3, "params": "node:5",
+                                      "count": None, "expected": 13, "status": "skip"}
+
+
+def test_a_result_is_skipped_exactly_when_it_has_no_count():
+    counted = FqCountResult("gr", 2, "(1,2)", 3, 3, 0.0, reason="")
+    declined = FqCountResult("gr", 5, "(1,2)", None, 6, 0.0, reason="gr(1,2) at q=5: ...")
+    assert (counted.skipped, counted.status) == (False, "pass")
+    assert (declined.skipped, declined.passed, declined.status) == (True, False, "skip")
 
 
 def test_bridges():
@@ -563,6 +574,18 @@ def test_bridges():
     assert result.count == 651 and result.passed
     with pytest.raises(KeyError):
         run_bridge(BRIDGES["gr(9,9)"], 2)
+
+
+def test_bridges_at_an_unsupported_q_skip():
+    """Every counter declines q = 5, so every bridge is a skipped row with
+    its reason; none raises."""
+    results = bridge_check_all([5])
+    assert len(results) == 16
+    assert all(r.status == "skip" and r.count is None and r.reason for r in results)
+    assert run_bridge(BRIDGES["hilb1"], 5).reason == (
+        "field order 5 not supported (need one of [2, 3, 4, 9])")
+    assert run_bridge(BRIDGES["gr(2,4)"], 5).reason == (
+        "gr(2,4) at q=5: counting supports q in (2, 3, 4)")
 
 
 def test_bridge_check_all_passes(bridges_q23):
