@@ -3,7 +3,8 @@
 Commands: ``eval`` (evaluate an expression), ``verify`` (assemble and check
 the moduli classes), ``oracle`` (finite-field counting checks), ``report``
 (combined document).  Exit codes: 0 all checks pass, 1 a mathematical
-comparison failed, 2 usage or input error.  Long enumerations report
+comparison failed, 2 usage, input or I/O error, a closed standard stream
+included.  Long enumerations report
 progress on standard error; standard output carries only the payload.
 """
 
@@ -14,7 +15,7 @@ import json
 import sys
 
 from .atoms import Unsupported
-from .dsl import ArityError, ParseError, evaluate
+from .dsl import MAX_INT_DIGITS, ArityError, ParseError, evaluate
 from .motive import NotEffective
 from .oracle import (
     BRIDGES,
@@ -29,6 +30,7 @@ from .oracle import (
 from .strata import (
     TARGETS,
     assemble,
+    markdown_table,
     omega26_assembled,
     render_verification,
     verification_dict,
@@ -44,6 +46,8 @@ class UsageError(Exception):
 
 def _write(text: str, path: str | None) -> None:
     if path is None:
+        if sys.stdout is None:  # started with standard output closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -117,10 +121,6 @@ def cmd_oracle(args) -> int:
     return 0 if all(r.passed or r.skipped for r in results) else 1
 
 
-def _md_row(cells) -> str:
-    return "| " + " | ".join(map(str, cells)) + " |"
-
-
 def cmd_report(args) -> int:
     reports, omega26 = verify_all()
     bridges = bridge_check_all([2, 3])
@@ -130,13 +130,9 @@ def cmd_report(args) -> int:
         doc["bridges"] = rows
         _write(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        # numeric columns are right-aligned
-        lines = ["# oracle bridges", "", _md_row(rows[0]),
-                 "|" + "|".join("---" if isinstance(v, str) else "---:"
-                                for v in rows[0].values()) + "|"]
-        lines += [_md_row(row.values()) for row in rows]
-        _write(render_verification(reports, omega26, "md") + "\n"
-               + "\n".join(lines) + "\n", args.output)
+        table = markdown_table(list(rows[0]), [row.values() for row in rows])
+        _write(render_verification(reports, omega26, "md") + "\n# oracle bridges\n\n" + table,
+               args.output)
     ok = all(r.passed for r in reports) and all(r.passed or r.skipped for r in bridges)
     return 0 if ok else 1
 
@@ -176,22 +172,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the parser bounds every integer to MAX_INT_DIGITS digits, so a lower
+    # int-to-str limit (PYTHONINTMAXSTRDIGITS) would only stop an admitted
+    # answer from printing; Python before 3.10.7 has no such limit
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < MAX_INT_DIGITS:
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "
-              f"found {exc.found}", file=sys.stderr)
-        return 2
+        message = (f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "
+                   f"found {exc.found}")
     except ArityError as exc:
-        print(f"ArityError: {exc}", file=sys.stderr)
-        return 2
+        message = f"ArityError: {exc}"
     except (Unsupported, NotEffective, UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
     except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 2
+        message = "error: expression nested too deeply"
+    try:
+        print(message, file=sys.stderr)
+    except OSError:  # standard error is closed too
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ q^dim of them), and sums the distinct principal ideals pairwise.  Every
 basis is built already in reduced echelon form, so it is its own canonical
 key.
 
+The plane's points over F_q, q in (2, 3, 4, 9), are counted as coordinate
+triples whose first nonzero coordinate is 1, which needs no field
+arithmetic (:func:`projective_plane_count`); the length-2 counters work
+from the counts over F_q and F_(q^2).
+
 A counter declines a count it will not make by raising
 :class:`~motivecount.atoms.Unsupported`: a field size it does not support,
 or a punctual sweep over :data:`MAX_SWEEP` elements.  The limit admits every
@@ -22,13 +27,13 @@ import io
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from ..motive import MotiveClass
 from . import _pure
 from .algebra import CURVES, truncated_algebra
-from .gf import projective_plane_count
 from .ideals import IdealRecord, reduced_echelon_forms
 from .tables import MAX_COLENGTH, expected_class
 
@@ -78,7 +83,16 @@ def count_grassmannian(k: int, n: int, q: int) -> int:
     return sum(1 for _ in reduced_echelon_forms(k, n, q))
 
 
-# -- hilbert scheme of two points ----------------------------------------------
+# -- plane points and the hilbert scheme of two points -------------------------
+
+def projective_plane_count(q: int) -> int:
+    """Points of the projective plane over F_q: the triples over 0..q-1, with
+    0 and 1 the field's zero and one, whose first nonzero coordinate is 1."""
+    if q not in (2, 3, 4, 9):
+        raise Unsupported(f"field order {q} not supported (need one of [2, 3, 4, 9])")
+    return sum(1 for v in product(range(q), repeat=3)
+               if next((c for c in v if c), None) == 1)
+
 
 def _plane_counts(counter: str, q: int) -> tuple[int, int]:
     """The plane's point counts over F_q and F_(q^2), for a length-2 counter."""

@@ -1,9 +1,11 @@
 """Stratification data for punctual ideals on the two curve germs.
 
-Each row describes one family of ideals of a given colength, together with
-the class of its parameter space in the expression language: a projective
-parameter modulo scaling contributes P1, a free parameter contributes A1,
-and an excluded-origin constraint contributes A1-1 (or A2-1 for a pair).
+:data:`ROWS` maps each germ to its rows in table order.  A row is a tuple
+``(colength, ideal, params)`` describing one family of ideals: its
+generators in the local coordinates of the germ, and the class of its
+parameter space in the expression language, where a projective parameter
+modulo scaling contributes P1, a free parameter contributes A1, and an
+excluded-origin constraint contributes A1-1 (or A2-1 for a pair).
 The expected ideal count of a colength at q is the row-sum class evaluated
 at L = q.
 
@@ -18,92 +20,65 @@ subspace sweep in the tests certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..dsl import evaluate
 from ..motive import ZERO, MotiveClass
 from .algebra import NODE, RIBBON
 
-
-@dataclass(frozen=True)
-class TableRow:
-    curve: str
-    colength: int
-    ideal: str       # generators, in the local coordinates of the germ
-    params: str      # class of the parameter space, expression syntax
-
-    def param_class(self) -> MotiveClass:
-        return evaluate(self.params)
-
-
-_RIBBON_ROWS = [
-    (1, "m", "1"),
-    (2, "m2 + (k x + k' y), (k,k') != 0", "P1"),
-    (3, "m2", "1"),
-    (3, "(x + k y2) + m3", "A1"),
-    (4, "(x2, k y2 + k' xy) + m3, (k,k') != 0", "P1"),
-    (4, "(x + k y2 + k' y3) + m4, k != 0", "(A1-1)*A1"),
-    (4, "(x + k' y3) + m4", "A1"),
-    (5, "(x2) + m3", "1"),
-    (5, "(x2, xy + k y2 + k' y3) + m4, k != 0", "(A1-1)*A1"),
-    (5, "(x2, xy + k' y3) + m4", "A1"),
-    (5, "(x + k y3 + k' y4) + m5, k != 0", "(A1-1)*A1"),
-    (5, "(x + k' y4) + m5", "A1"),
-    (6, "(x2, k xy2 + k' y3) + m4, (k,k') != 0", "P1"),
-    (6, "(x2, xy + k y3 + k' y4) + m5, k != 0", "(A1-1)*A1"),
-    (6, "(x2, xy + k' y4) + m5", "A1"),
-    (6, "(x + k y3 + k' y4 + k'' y5) + m6, (k,k'') != 0", "(A2-1)*A1"),
-    (6, "(x + k'' y5) + m6", "A1"),
-]
-
-_NODE_ROWS = [
-    (1, "m", "1"),
-    (2, "m2 + (k x + k' y), (k,k') != 0", "P1"),
-    (3, "m2", "1"),
-    (3, "(x + k y2) + m3", "A1"),
-    (3, "(y + k x2) + m3", "A1"),
-    (4, "(xy, k x2 + k' y2) + m3, (k,k') != 0", "P1"),
-    (4, "(x + k y3) + m4", "A1"),
-    (4, "(y + k x3) + m4", "A1"),
-    (5, "(xy) + m3", "1"),
-    (5, "(xy, x2 + k y3) + m4, k != 0", "A1-1"),
-    (5, "(xy, x2) + m4", "1"),
-    (5, "(xy, y2 + k x3) + m4, k != 0", "A1-1"),
-    (5, "(xy, y2) + m4", "1"),
-    (5, "(x + k y4) + m5", "A1"),
-    (5, "(y + k x4) + m5", "A1"),
-    (6, "(xy, k x3 + k' y3) + m4, (k,k') != 0", "P1"),
-    (6, "(xy, x2 + k y4) + m5, k != 0", "A1-1"),
-    (6, "(xy, x2) + m5", "1"),
-    (6, "(xy, y2 + k x4) + m5, k != 0", "A1-1"),
-    (6, "(xy, y2) + m5", "1"),
-    (6, "(x + k y5) + m6", "A1"),
-    (6, "(y + k x5) + m6", "A1"),
-]
+ROWS = {
+    RIBBON: (
+        (1, "m", "1"),
+        (2, "m2 + (k x + k' y), (k,k') != 0", "P1"),
+        (3, "m2", "1"),
+        (3, "(x + k y2) + m3", "A1"),
+        (4, "(x2, k y2 + k' xy) + m3, (k,k') != 0", "P1"),
+        (4, "(x + k y2 + k' y3) + m4, k != 0", "(A1-1)*A1"),
+        (4, "(x + k' y3) + m4", "A1"),
+        (5, "(x2) + m3", "1"),
+        (5, "(x2, xy + k y2 + k' y3) + m4, k != 0", "(A1-1)*A1"),
+        (5, "(x2, xy + k' y3) + m4", "A1"),
+        (5, "(x + k y3 + k' y4) + m5, k != 0", "(A1-1)*A1"),
+        (5, "(x + k' y4) + m5", "A1"),
+        (6, "(x2, k xy2 + k' y3) + m4, (k,k') != 0", "P1"),
+        (6, "(x2, xy + k y3 + k' y4) + m5, k != 0", "(A1-1)*A1"),
+        (6, "(x2, xy + k' y4) + m5", "A1"),
+        (6, "(x + k y3 + k' y4 + k'' y5) + m6, (k,k'') != 0", "(A2-1)*A1"),
+        (6, "(x + k'' y5) + m6", "A1"),
+    ),
+    NODE: (
+        (1, "m", "1"),
+        (2, "m2 + (k x + k' y), (k,k') != 0", "P1"),
+        (3, "m2", "1"),
+        (3, "(x + k y2) + m3", "A1"),
+        (3, "(y + k x2) + m3", "A1"),
+        (4, "(xy, k x2 + k' y2) + m3, (k,k') != 0", "P1"),
+        (4, "(x + k y3) + m4", "A1"),
+        (4, "(y + k x3) + m4", "A1"),
+        (5, "(xy) + m3", "1"),
+        (5, "(xy, x2 + k y3) + m4, k != 0", "A1-1"),
+        (5, "(xy, x2) + m4", "1"),
+        (5, "(xy, y2 + k x3) + m4, k != 0", "A1-1"),
+        (5, "(xy, y2) + m4", "1"),
+        (5, "(x + k y4) + m5", "A1"),
+        (5, "(y + k x4) + m5", "A1"),
+        (6, "(xy, k x3 + k' y3) + m4, (k,k') != 0", "P1"),
+        (6, "(xy, x2 + k y4) + m5, k != 0", "A1-1"),
+        (6, "(xy, x2) + m5", "1"),
+        (6, "(xy, y2 + k x4) + m5, k != 0", "A1-1"),
+        (6, "(xy, y2) + m5", "1"),
+        (6, "(x + k y5) + m6", "A1"),
+        (6, "(y + k x5) + m6", "A1"),
+    ),
+}
 
 MAX_COLENGTH = 6
-
-
-@lru_cache(maxsize=1)
-def table_rows() -> tuple[TableRow, ...]:
-    rows = [TableRow(RIBBON, c, ideal, params) for c, ideal, params in _RIBBON_ROWS]
-    rows += [TableRow(NODE, c, ideal, params) for c, ideal, params in _NODE_ROWS]
-    return tuple(rows)
-
-
-def rows_for(curve: str, colength: int) -> tuple[TableRow, ...]:
-    return tuple(r for r in table_rows() if r.curve == curve and r.colength == colength)
 
 
 @lru_cache(maxsize=None)
 def expected_class(curve: str, colength: int) -> MotiveClass:
     """Row-sum class of a colength: the tabulated count as a polynomial in L."""
-    rows = rows_for(curve, colength)
-    if not rows:
+    params = [p for c, _, p in ROWS.get(curve, ()) if c == colength]
+    if not params:
         raise ValueError(f"no rows for {curve} colength {colength}")
-    return sum((r.param_class() for r in rows), ZERO)
-
-
-def expected_count(curve: str, colength: int, q: int) -> int:
-    return expected_class(curve, colength).evaluate(q)
+    return sum(map(evaluate, params), ZERO)

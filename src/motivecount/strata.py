@@ -203,10 +203,17 @@ def verify_all() -> tuple[tuple[VerificationReport, ...], ConsistencyReport]:
 
 # -- renderings ----------------------------------------------------------------
 
-def betti_markdown(cls: MotiveClass) -> str:
-    lines = ["| i | b_2i |", "|---:|---:|"]
-    lines += [f"| {i} | {b} |" for i, b in enumerate(cls.coeffs)]
-    return "\n".join(lines) + "\n"
+def markdown_table(header, rows) -> str:
+    """A markdown table, each cell printed with str().  A column whose value
+    in the first row is a string is left-aligned, any other right-aligned
+    (every column, when there are no rows)."""
+    def line(cells) -> str:
+        return "| " + " | ".join(map(str, cells)) + " |"
+
+    rows = list(rows)
+    first = rows[0] if rows else [0] * len(header)
+    rule = "|" + "|".join("---" if isinstance(v, str) else "---:" for v in first) + "|"
+    return "\n".join([line(header), rule, *map(line, rows)]) + "\n"
 
 
 def betti_csv(cls: MotiveClass) -> str:
@@ -275,7 +282,7 @@ def report_markdown(report: VerificationReport) -> str:
                           for k, v in report.flags.items())
     lines.append(f"Checks: {flag_text}")
     lines.append("")
-    lines.append(betti_markdown(report.assembled))
+    lines.append(markdown_table(("i", "b_2i"), enumerate(report.assembled.coeffs)))
     return "\n".join(lines)
 
 
@@ -297,7 +304,7 @@ def consistency_markdown(c: ConsistencyReport) -> str:
                  f"stated euler: {c.stated.euler()}; "
                  f"matches: {'yes' if c.matches else 'no'}")
     lines.append("")
-    lines.append(betti_markdown(c.assembled))
+    lines.append(markdown_table(("i", "b_2i"), enumerate(c.assembled.coeffs)))
     return "\n".join(lines)
 
 

@@ -24,7 +24,7 @@ from motivecount.oracle import (
     count_hilb2_p2,
     count_punctual_ideals,
     count_sym2_p2,
-    expected_count,
+    expected_class,
 )
 from motivecount.strata import DIMENSION, TARGETS, assemble, omega26_assembled
 
@@ -164,7 +164,7 @@ def test_criterion_9_punctual_counts(curve, colength, q):
     count = count_punctual_ideals(curve, colength, q)
     elapsed = time.perf_counter() - start
     _punctual_elapsed["total"] += elapsed
-    expected = expected_count(curve, colength, q)
+    expected = expected_class(curve, colength).evaluate(q)
     ok = count == expected and _punctual_elapsed["total"] <= _PUNCTUAL_BUDGET_SECONDS
     _line(f"criterion 9: {curve} colength {colength} q={q}: "
           f"counted {count}, table {expected} ({elapsed:.2f}s)", ok)

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import errno
 import hashlib
 import io
 import json
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -191,6 +193,52 @@ def test_eval_nested_too_deeply(capsys, expr):
     code, out, err = run(capsys, "eval", expr)
     assert code == 2 and out == ""
     assert err == "error: expression nested too deeply\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int-to-str conversion")
+def test_eval_under_a_low_int_string_limit(capsys):
+    """An interpreter limit on int-to-str conversion below MAX_INT_DIGITS
+    (PYTHONINTMAXSTRDIGITS=640, the lowest allowed) does not stop an
+    admitted literal or coefficient from printing."""
+    literal = "9" * 700
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        literal_run = run(capsys, "eval", literal)
+        sym_run = run(capsys, "eval", "Sym 200(1872486*P1)", "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(old)
+    code, out, err = literal_run
+    assert (code, err) == (0, "") and out.splitlines()[0] == literal
+    code, out, err = sym_run
+    assert (code, err) == (0, "")
+    assert len(str(max(json.loads(out)["class"]))) > 640
+
+
+def test_closed_stdout_exits_2(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["eval", "P1"])
+    assert (code, err.getvalue()) == (2, "error: standard output is closed\n")
+
+
+class _ClosedStream(io.StringIO):
+    """A stream whose file descriptor is closed: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--check", "punctual", "--q", "2", "--max-colength", "1"],
+    ["eval", "P\u00b2"],
+], ids=["oracle-progress", "eval-error"])
+def test_closed_stderr_exits_2(capsys, argv):
+    with redirect_stderr(_ClosedStream()):
+        code = main(argv)
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 def test_eval_unsupported(capsys):

@@ -1,5 +1,6 @@
 """Finite-field counting: plane points, Grassmannians, ideal enumeration, bridges."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from motivecount.atoms import Unsupported, grassmannian, hilb_p2, projective
 from motivecount.oracle import (
     BRIDGES,
     CURVES,
+    ROWS,
     FqCountResult,
     IdealRecord,
     bridge_check_all,
@@ -19,13 +21,11 @@ from motivecount.oracle import (
     count_sym2_p2,
     enumerate_closed_subspaces,
     expected_class,
-    expected_count,
     projective_plane_count,
     punctual_ideal_records,
     reduced_echelon_forms,
     result_fields,
     results_to_csv,
-    rows_for,
     run_bridge,
     truncated_algebra,
 )
@@ -199,24 +199,43 @@ def test_multiplication_follows_the_monomial_order(curve):
 
 
 def test_table_row_sums():
-    assert [expected_count("ribbon", c, 2) for c in range(1, 7)] == RIBBON_TABLE_Q2
-    assert [expected_count("node", c, 2) for c in range(1, 7)] == NODE_TABLE_Q2
-    assert [expected_count("ribbon", c, 3) for c in range(1, 7)] == RIBBON_TABLE_Q3
-    assert [expected_count("node", c, 3) for c in range(1, 7)] == NODE_TABLE_Q3
+    assert [expected_class("ribbon", c).evaluate(2) for c in range(1, 7)] == RIBBON_TABLE_Q2
+    assert [expected_class("node", c).evaluate(2) for c in range(1, 7)] == NODE_TABLE_Q2
+    assert [expected_class("ribbon", c).evaluate(3) for c in range(1, 7)] == RIBBON_TABLE_Q3
+    assert [expected_class("node", c).evaluate(3) for c in range(1, 7)] == NODE_TABLE_Q3
     assert expected_class("node", 3).coeffs == (1, 2)  # 1 + 2L
     assert expected_class("ribbon", 4).coeffs == (1, 1, 1)  # (q+1) + (q-1)q + q
-    assert len(rows_for("node", 5)) == 7
+    assert sum(1 for c, _, _ in ROWS["node"] if c == 5) == 7
+
+
+#: sha256 of the table rows as text, one line per row: curve, colength,
+#: ideal and params, tab-separated, in table order, ribbon first
+ROWS_SHA256 = "2e00eaf40684250ebf3bdd3bca03c134c31a103f6a767565f893036d40688bea"
+
+
+def test_table_rows_verbatim():
+    assert list(ROWS) == ["ribbon", "node"]
+    text = "".join(f"{curve}\t{c}\t{ideal}\t{params}\n"
+                   for curve, rows in ROWS.items() for c, ideal, params in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256
+
+
+@pytest.mark.parametrize("curve,colength", [("cusp", 2), ("node", 7)])
+def test_expected_class_without_rows(curve, colength):
+    with pytest.raises(ValueError, match=rf"^no rows for {curve} colength {colength}$"):
+        expected_class(curve, colength)
 
 
 @pytest.mark.parametrize("curve", CURVES)
 @pytest.mark.parametrize("q,maxc", [(2, 4), (3, 4)])
 def test_punctual_counts_match_tables_small(curve, q, maxc):
     for c in range(1, maxc + 1):
-        assert count_punctual_ideals(curve, c, q) == expected_count(curve, c, q), (curve, c, q)
+        expected = expected_class(curve, c).evaluate(q)
+        assert count_punctual_ideals(curve, c, q) == expected, (curve, c, q)
 
 
 def test_punctual_node_colength5():
-    assert count_punctual_ideals("node", 5, 2) == expected_count("node", 5, 2) == 9
+    assert count_punctual_ideals("node", 5, 2) == expected_class("node", 5).evaluate(2) == 9
 
 
 def test_punctual_ribbon_colength5_known_row_defect():
@@ -226,7 +245,7 @@ def test_punctual_ribbon_colength5_known_row_defect():
     y^3), so it duplicates the colength-4 family (x^2, k y^2 + k' xy) + m^3.
     The enumeration finds 7 ideals; the row sum predicts 2q^2 + 1 = 9."""
     assert count_punctual_ideals("ribbon", 5, 2) == 7
-    assert expected_count("ribbon", 5, 2) == 9
+    assert expected_class("ribbon", 5).evaluate(2) == 9
     # the suspect family, closed in the colength-5 ambient algebra
     alg = truncated_algebra("ribbon", 5)
     idx = {m: i for i, m in enumerate(alg.monomials)}

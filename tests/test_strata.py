@@ -14,8 +14,8 @@ from motivecount.strata import (
     TARGETS,
     assemble,
     betti_csv,
-    betti_markdown,
     consistency_to_dict,
+    markdown_table,
     omega26_assembled,
     omega26_parts,
     registry,
@@ -169,10 +169,17 @@ def test_serialization_shapes():
 
 def test_betti_renderings():
     cls = MotiveClass((1, 2, 1))
-    md = betti_markdown(cls)
+    md = markdown_table(("i", "b_2i"), enumerate(cls.coeffs))
     assert "| i | b_2i |" in md and "| 1 | 2 |" in md
     csv_text = betti_csv(cls)
     assert csv_text.splitlines() == ["i,b_2i", "0,1", "1,2", "2,1"]
+
+
+def test_markdown_table_alignment():
+    """A column is left-aligned when its first-row value is a string."""
+    assert markdown_table(("name", "n"), [("a", 1), ("b", None)]) == (
+        "| name | n |\n|---|---:|\n| a | 1 |\n| b | None |\n")
+    assert markdown_table(("i", "b_2i"), []) == "| i | b_2i |\n|---:|---:|\n"
 
 
 def test_report_dict_fields():
