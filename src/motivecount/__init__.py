@@ -28,12 +28,9 @@ from .dsl import ArityError, ParseError, VarietyExpr, eval_expr, evaluate, forma
 from .motive import L, ONE, ZERO, DivisionNotExact, MotiveClass, NotEffective
 from .strata import (
     ConsistencyReport,
-    StratumSpec,
     VerificationReport,
     assemble,
     omega26_assembled,
-    omega26_parts,
-    registry,
     verify_all,
 )
 
@@ -41,9 +38,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityError", "ConsistencyReport", "DivisionNotExact", "L", "MotiveClass",
-    "NotEffective", "ONE", "ParseError", "StratumSpec", "Unsupported",
-    "VarietyExpr", "VerificationReport", "ZERO", "affine", "assemble",
-    "eval_expr", "evaluate", "format_expr", "grassmannian", "hilb_p2",
-    "linear_system", "omega26_assembled", "omega26_parts", "omega_locus",
-    "parse", "projective", "registry", "universal_curve", "verify_all",
+    "NotEffective", "ONE", "ParseError", "Unsupported", "VarietyExpr",
+    "VerificationReport", "ZERO", "affine", "assemble", "eval_expr", "evaluate",
+    "format_expr", "grassmannian", "hilb_p2", "linear_system", "omega26_assembled",
+    "omega_locus", "parse", "projective", "universal_curve", "verify_all",
 ]

@@ -345,13 +345,21 @@ def eval_expr(e: VarietyExpr) -> MotiveClass:
         return MotiveClass((e.value,))
     if isinstance(e, Lefschetz):
         return MotiveClass((0, 1))
-    if isinstance(e, Sum):
-        acc = MotiveClass()
-        for item in e.items:
-            acc = acc + eval_expr(item)
+    if isinstance(e, (Sum, Diff)):
+        # a chain of '+' and '-' nests down its first operands; walk them in
+        # a loop, so that a flat chain of any length evaluates
+        spine = []
+        while isinstance(e, (Sum, Diff)):
+            spine.append(e)
+            e = e.items[0] if isinstance(e, Sum) else e.left
+        acc = eval_expr(e)
+        for node in reversed(spine):
+            if isinstance(node, Sum):
+                for item in node.items[1:]:
+                    acc = acc + eval_expr(item)
+            else:
+                acc = acc - eval_expr(node.right)
         return acc
-    if isinstance(e, Diff):
-        return eval_expr(e.left) - eval_expr(e.right)
     if isinstance(e, Prod):
         acc = MotiveClass((1,))
         for item in e.items:
@@ -384,6 +392,12 @@ def _prec(e: VarietyExpr) -> int:
     return _PRIMARY
 
 
+def _operand(e: VarietyExpr) -> str:
+    """A later operand of '+' or '-': at additive level it would re-associate."""
+    text = format_expr(e)
+    return f"({text})" if _prec(e) <= _ADD else text
+
+
 def format_expr(e: VarietyExpr) -> str:
     """Render a tree in canonical syntax; parse(format_expr(e)) == e for
     trees in parser shape (no Sum directly under Sum or Prod under Prod)."""
@@ -393,21 +407,21 @@ def format_expr(e: VarietyExpr) -> str:
         return str(e.value)
     if isinstance(e, Lefschetz):
         return "L"
-    if isinstance(e, Sum):
-        parts = []
-        for pos, item in enumerate(e.items):
-            text = format_expr(item)
-            # later '+' operands at additive level would re-associate
-            if isinstance(item, Sum) or (pos > 0 and _prec(item) <= _ADD):
-                text = f"({text})"
-            parts.append(text)
-        return "+".join(parts)
-    if isinstance(e, Diff):
-        left = format_expr(e.left)
-        right = format_expr(e.right)
-        if _prec(e.right) <= _ADD:
-            right = f"({right})"
-        return f"{left}-{right}"
+    if isinstance(e, (Sum, Diff)):
+        # walk the first operands in a loop, as eval_expr does; they print
+        # bare, except a Sum first in a Sum, which the parser never builds
+        tails = []
+        while isinstance(e, (Sum, Diff)):
+            if isinstance(e, Diff):
+                tails.append("-" + _operand(e.right))
+                e = e.left
+            else:
+                tails.append("".join("+" + _operand(item) for item in e.items[1:]))
+                e = e.items[0]
+                if isinstance(e, Sum):
+                    break
+        head = format_expr(e)
+        return (f"({head})" if isinstance(e, Sum) else head) + "".join(reversed(tails))
     if isinstance(e, Prod):
         parts = []
         for item in e.items:

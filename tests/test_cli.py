@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motivecount.cli import main
-from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS
+from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, format_expr, parse
 
 
 def run(capsys, *argv):
@@ -184,11 +184,23 @@ def test_eval_coefficient_at_literal_limit(capsys, expr, largest):
         assert max(coeffs) == largest
 
 
+@pytest.mark.parametrize("expr,answer", [
+    ("-".join(["1"] * 2000), "-1998"),
+    ("P1" + "".join("+P1" if i % 2 else "-P1" for i in range(1, 5000)), "2 + 2*L"),
+], ids=["difference-chain", "alternating-chain"])
+def test_eval_flat_chain(capsys, expr, answer):
+    """A flat chain of '+' and '-' nests down its first operands, to any
+    length; evaluating and formatting it walk them without recursing."""
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, err) == (0, "") and out.splitlines()[0] == answer
+    # the texts, not the trees: comparing deep trees recurses
+    assert format_expr(parse(expr)) == expr
+
+
 @pytest.mark.parametrize("expr", [
-    "-".join(["1"] * 2000),
     "(" * 300 + "1" + ")" * 300,
     "Sym1(" * 300 + "P1" + ")" * 300,
-], ids=["difference-chain", "parentheses", "sym1"])
+], ids=["parentheses", "sym1"])
 def test_eval_nested_too_deeply(capsys, expr):
     code, out, err = run(capsys, "eval", expr)
     assert code == 2 and out == ""

@@ -1,55 +1,70 @@
 """Registry integrity, assembly tables, and the conic-locus diagnostic."""
 
+import hashlib
 import json
-from collections import Counter
 
 import pytest
 
-from motivecount import MotiveClass, omega_locus, parse, format_expr
+from motivecount import MotiveClass, evaluate, omega_locus, parse, format_expr
 from motivecount.atoms import hilb_p2, projective
 from motivecount.strata import (
     DIMENSION,
     EXPECTED_EULER,
     EXPECTED_TABLE,
+    OMEGA26_PARTS,
+    STRATA,
     TARGETS,
     assemble,
     betti_csv,
     consistency_to_dict,
     markdown_table,
     omega26_assembled,
-    omega26_parts,
-    registry,
     report_to_dict,
-    strata_for,
     verification_dict,
     verify_all,
 )
 
+#: every stratum, the targets' in registry order and then the conic-locus parts
+EVERY_STRATUM = tuple(s for strata in STRATA.values() for s in strata) + OMEGA26_PARTS
+
+#: sha256 of the registry's text, one line "id<TAB>note<TAB>formula" per stratum
+STRATA_SHA256 = "3c7c2c072977be9d45b2990d50de5d3d0885b22b6556e8498c2afab3a6df2486"
+
+
+def test_strata_registry_verbatim():
+    text = "".join(f"{sid}\t{note}\t{formula}\n" for sid, note, formula in EVERY_STRATUM)
+    assert hashlib.sha256(text.encode()).hexdigest() == STRATA_SHA256
+
 
 def test_registry_counts():
-    tags = Counter(s.id.split(".")[0] for s in registry())
-    assert tags["m41"] == 3
-    assert tags["m51"] == 7
-    assert tags["m52"] == 5
-    assert tags["m11"] == tags["m21"] == tags["m31"] == 1
-    assert len(registry()) == 18
-    assert len(omega26_parts()) == 16
+    counts = {target: len(strata) for target, strata in STRATA.items()}
+    assert counts["m41"] == 3
+    assert counts["m51"] == 7
+    assert counts["m52"] == 5
+    assert counts["m11"] == counts["m21"] == counts["m31"] == 1
+    assert sum(counts.values()) == 18
+    assert len(OMEGA26_PARTS) == 16
+    assert TARGETS == tuple(STRATA) == ("m11", "m21", "m31", "m41", "m51", "m52")
+    # a stratum's id names its target
+    assert all(sid.split(".")[0] == target
+               for target, strata in STRATA.items() for sid, _, _ in strata)
+    assert all(sid.startswith("omega26.") for sid, _, _ in OMEGA26_PARTS)
 
 
 def test_registry_ids_unique():
-    ids = [s.id for s in registry() + omega26_parts()]
+    ids = [sid for sid, _, _ in EVERY_STRATUM]
     assert len(ids) == len(set(ids))
 
 
 def test_registry_entries_parse_and_evaluate():
-    for spec in registry() + omega26_parts():
-        assert isinstance(spec.value(), MotiveClass), spec.id
+    for sid, _, formula in EVERY_STRATUM:
+        assert isinstance(evaluate(formula), MotiveClass), sid
 
 
 def test_registry_roundtrip_formatting():
-    for spec in registry() + omega26_parts():
-        tree = spec.parsed()
-        assert parse(format_expr(tree)) == tree, spec.id
+    for sid, _, formula in EVERY_STRATUM:
+        tree = parse(formula)
+        assert parse(format_expr(tree)) == tree, sid
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -74,7 +89,8 @@ def test_m52_equals_m51():
 
 
 def test_selected_stratum_values():
-    values = {s.id: s.value() for s in registry()}
+    values = {sid: evaluate(formula) for strata in STRATA.values()
+              for sid, _, formula in strata}
     assert values["m41.M2"] == projective(2) * projective(13)
     assert values["m41.W4"] == (hilb_p2(3) - omega_locus(1, 3)) * projective(11)
     assert values["m51.W5"] == (hilb_p2(6) - omega_locus(2, 6)) * projective(14)
@@ -85,9 +101,10 @@ def test_selected_stratum_values():
                for name in ("M2", "W4", "M1minusW4"))
 
 
-def test_strata_for_unknown_target():
+@pytest.mark.parametrize("target", ["m99", "omega26"])
+def test_assemble_unknown_target(target):
     with pytest.raises(KeyError):
-        strata_for("m99")
+        assemble(target)
 
 
 def test_omega26_consistency_frozen_values():
@@ -115,7 +132,7 @@ def test_omega26_consistency_frozen_values():
 def test_omega26_part_inventory():
     report = omega26_assembled()
     ids = [sid for sid, _ in report.parts]
-    assert ids == [s.id for s in omega26_parts()]
+    assert ids == [sid for sid, _, _ in OMEGA26_PARTS]
     expected_ids = {
         "omega26.integral",
         "omega26.S6_2", "omega26.S4_1", "omega26.S3_1", "omega26.S2_0",
