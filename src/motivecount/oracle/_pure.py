@@ -7,13 +7,16 @@ ideals.  It sweeps one element per scalar class, since f and cf generate
 the same ideal for every nonzero scalar c: zero, then each element whose
 first nonzero coefficient is 1, which at q = 2 is all q^dim elements.  It
 records the distinct principal ideals and then forms the sum of each
-unordered pair of them.  The swept elements with a nonzero constant term
-are units, whose closure returns the whole algebra's basis at once
-(:func:`.ideals.close_under_multiplication`).  Every basis is built already
-in reduced echelon form (:func:`.ideals.insert_reduced`), so it is its own
-canonical key.  That two generators reach every ideal is certified in the
-tests against the exhaustive sweep of multiplication-closed subspaces in
-:mod:`.ideals`.
+unordered pair of them, skipping every principal ideal of colength below
+the target: (f) + (g) lies in (f), so no such ideal is in a sum of the
+target colength.  The swept elements with a nonzero constant term are
+units, whose closure returns the whole algebra's basis at once
+(:func:`.ideals.close_under_multiplication`).  Every basis is in reduced
+echelon form, so it is its own canonical key: a closure back-substitutes
+its echelon basis once at the end, and each pair sum extends a reduced
+basis row by row (:func:`.ideals.insert_reduced`).  That two generators
+reach every ideal is certified in the tests against the exhaustive sweep of
+multiplication-closed subspaces in :mod:`.ideals`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ def principal_closures(alg: LocalAlgebra, q: int) -> dict[tuple[int, ...], list[
 def enumerate_ideals(alg: LocalAlgebra, q: int, colength: int) -> list[tuple[Vector, ...]]:
     """Canonical bases of all two-generated ideals of the given colength,
     sorted."""
-    principals = list(principal_closures(alg, q).values())
+    # (f) + (g) lies in (f), so its colength is at most that of (f): a
+    # principal ideal of smaller colength than the target is in no sum
+    principals = [rows for rows in principal_closures(alg, q).values()
+                  if alg.dim - len(rows) >= colength]
     found: set[tuple[int, ...]] = set()
     # each unordered pair once; the pair (f), (f) gives the principal ideal
     for i, rows_f in enumerate(principals):

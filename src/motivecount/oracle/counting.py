@@ -3,8 +3,9 @@
 Punctual ideals are enumerated by the engine in :mod:`._pure`, which sweeps
 the truncated germ algebra once, one element per scalar class (at q = 2 all
 q^dim of them), and sums the distinct principal ideals pairwise.  Every
-basis is built already in reduced echelon form, so it is its own canonical
-key.
+basis the engine returns is in reduced echelon form, so it is its own
+canonical key: each principal closure back-substitutes once, and each pair
+sum extends a reduced basis row by row.
 
 The plane's points over F_q, q in (2, 3, 4, 9), are counted as coordinate
 triples whose first nonzero coordinate is 1, which needs no field
@@ -40,7 +41,8 @@ from .tables import MAX_COLENGTH, expected_class
 #: most elements, one per scalar class, 1 + (q^dim - 1)/(q - 1), that one
 #: punctual count may sweep: q=2 colength 6 sweeps 2^13 = 8192 and q=3
 #: colength 4 sweeps 9842; q=3 colength 5 sweeps 88574, and its cells took
-#: 1.5-1.7 s each (Python 3.11, one core of a 2-vCPU Xeon VM)
+#: 1.3-1.8 s each, timed in process (Python 3.11.7, one core of a shared
+#: 2-vCPU Xeon VM)
 MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
 
 

@@ -8,7 +8,9 @@ multiply-add v + (q - c)*r followed by one ``bytes.translate`` through a
 table taking each byte value to its residue mod q.  For every prime
 q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
 translate, so no coefficient carries into the next; those primes are the
-kernel's domain.  Tuples appear only at the public edges: record bases and
+kernel's domain.  At q = 2 every byte is 0 or 1 and v - r is v XOR r, so
+:func:`close_under_multiplication`, the hot loop, does its row operations
+by XOR there.  Tuples appear only at the public edges: record bases and
 the enumerators' results.
 
 An ideal is stored as the reduced row echelon basis of the subspace it
@@ -129,6 +131,14 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     by the given packed vectors: the span of all monomial multiples, built
     with a worklist.  The basis is its own canonical form.
 
+    Each worklist vector is reduced by its leading term only, against the
+    rows found so far keyed by pivot, so they form a plain echelon basis;
+    a vector that keeps a new leading term becomes a row, normalized, and
+    its x- and y-multiples join the worklist.  One back-substitution at the
+    end, from the last row up, clears each pivot column from the rows above
+    it.  At q = 2 every coefficient is 0 or 1, so a row operation is one
+    XOR.
+
     Index 0 is the monomial 1, so a generator with a nonzero constant term
     is a unit of the local algebra and the ideal is the whole algebra; its
     basis, the identity rows, is returned without a worklist."""
@@ -137,13 +147,34 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     if any(v & 255 for v in work):
         return list(_identity_rows(dim))
     x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
-    rows: list[Row] = []
+    table = _residues(q)
+    basis: dict[int, int] = {}
     while work:
-        new = insert_reduced(rows, work.pop(), q, dim)
-        if new is not None:
-            work.append(vec_mul_monomial(new[1], x_shifts))
-            work.append(vec_mul_monomial(new[1], y_shifts))
-    return rows
+        v = work.pop()
+        while v:
+            p = pivot(v)
+            row = basis.get(p)
+            if row is None:
+                c = v >> 8 * p & 255
+                if c != 1:
+                    v = _mod(v * pow(c, q - 2, q), table, dim)
+                basis[p] = v
+                work.append(vec_mul_monomial(v, x_shifts))
+                work.append(vec_mul_monomial(v, y_shifts))
+                break
+            if q == 2:
+                v ^= row
+            else:
+                v = _mod(v + (q - (v >> 8 * p & 255)) * row, table, dim)
+    pivots = sorted(basis)
+    for k in reversed(range(len(pivots))):
+        row = basis[pivots[k]]
+        for p in pivots[k + 1:]:
+            c = row >> 8 * p & 255
+            if c:
+                row = row ^ basis[p] if q == 2 else _mod(row + (q - c) * basis[p], table, dim)
+        basis[pivots[k]] = row
+    return [(p, basis[p]) for p in pivots]
 
 
 def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
