@@ -385,18 +385,30 @@ def _span_rref(vectors, q):
     return tuple(tuple(r) for r in sorted(rows, key=lambda r: r.index(1)))
 
 
+def _check_principal_closures(curve, c, q):
+    alg = truncated_algebra(curve, c)
+    for f in itertools.product(range(q), repeat=alg.dim):
+        expected = _span_rref([_monomial_multiple(f, m, alg, q) for m in alg.monomials], q)
+        rows = close_under_multiplication([pack(f)], alg, q)
+        # the back-substituted rows, sorted by pivot, are the canonical form;
+        # every f at q = 3, not one per scalar class, so a leading 2 is normalized
+        assert _basis(rows, alg.dim) == expected, (curve, c, q, f)
+
+
 @pytest.mark.parametrize("curve", CURVES)
-@pytest.mark.parametrize("q,maxc", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2)])
 def test_principal_closure_is_span_of_monomial_multiples(curve, q, maxc):
     """(f) is spanned by f times every basis monomial; units included."""
     for c in range(1, maxc + 1):
-        alg = truncated_algebra(curve, c)
-        for f in itertools.product(range(q), repeat=alg.dim):
-            expected = _span_rref([_monomial_multiple(f, m, alg, q) for m in alg.monomials], q)
-            rows = close_under_multiplication([pack(f)], alg, q)
-            # the back-substituted rows, sorted by pivot, are the canonical form;
-            # every f at q = 3, not one per scalar class, so a leading 2 is normalized
-            assert _basis(rows, alg.dim) == expected, (curve, c, q, f)
+        _check_principal_closures(curve, c, q)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("q,c", [(2, 4), (3, 3)])
+def test_principal_closure_is_span_at_the_next_colength(curve, q, c):
+    """The same check one colength further, where the reduction has more
+    worklist vectors to absorb."""
+    _check_principal_closures(curve, c, q)
 
 
 @pytest.mark.parametrize("curve", CURVES)
