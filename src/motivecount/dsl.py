@@ -10,25 +10,26 @@ Grammar (whitespace-insensitive, LL(1)):
              | 'Lin(' INT ')' | 'C(' INT ')' | 'Omega(' INT ',' INT ')'
              | 'Sym' INT '(' expr ')' | '(' expr ')'
 
-'-' is left-associative difference, '*' binds tighter than '+'/'-', and '^'
+'+' and '-' associate to the left, '*' binds tighter than '+'/'-', and '^'
 binds tighter than '*'.  INT is a run of at most ``MAX_INT_DIGITS`` ASCII
 digits; a longer literal is a :class:`ParseError` at its offset.  The atom
 primaries are read, and printed, through their templates in ``ATOMS``.
 Integer literals denote disjoint unions of points, so "P1 - 1" is the class L.
-Difference is kept as its own node (rather than addition of a negation) so
-registered formulas display exactly as written.
+A chain of '+' and '-' is one :class:`Sum` node of signed terms in the order
+written, so registered formulas display exactly as written, and a chain of
+any length evaluates, prints, compares and hashes without recursing.
 
 While parsing, each node gets a degree bound by the rules of the class
 degree: an atom's from its parameters (its rule in ``ATOMS``), 1 for
-L, 0 for a literal; a sum or difference takes the larger of its operands, a
-product adds, X^k and Sym k(X) multiply by k.  An atom parameter, exponent
-or Sym order over ``MAX_DEGREE``, or a node of degree over ``MAX_DEGREE``,
-is an :class:`ArityError` at that node's offset, so evaluation time stays
-bounded.
+L, 0 for a literal; a chain of '+' and '-' takes the largest of its
+operands, a product adds, X^k and Sym k(X) multiply by k.  An atom
+parameter, exponent or Sym order over ``MAX_DEGREE``, or a node of degree
+over ``MAX_DEGREE``, is an :class:`ArityError` at that node's offset, so
+evaluation time stays bounded.
 
 Each node also gets a bound on the l1 norm of its class, the sum of the
 absolute values of its coefficients: n for a literal, 1 for L, 4^degree
-for an atom; a sum or difference adds its operands' bounds, a product
+for an atom; a chain of '+' and '-' adds its operands' bounds, a product
 multiplies them, X^k raises X's to the k-th power, and Sym k(X) with X's
 bound N takes C(N + k - 1, k), the value at L = 1 of the symmetric power of
 an effective class of norm N.  A node whose bound is over ``MAX_NORM`` is an
@@ -90,13 +91,10 @@ class Lefschetz:
 
 @dataclass(frozen=True)
 class Sum:
-    items: tuple
+    """A chain of '+' and '-': (sign, operand) pairs, the sign 1 or -1 and
+    the first sign 1."""
 
-
-@dataclass(frozen=True)
-class Diff:
-    left: "VarietyExpr"
-    right: "VarietyExpr"
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class Sym:
     inner: "VarietyExpr"
 
 
-VarietyExpr = Union[Atom, Lit, Lefschetz, Sum, Diff, Prod, Pow, Sym]
+VarietyExpr = Union[Atom, Lit, Lefschetz, Sum, Prod, Pow, Sym]
 
 
 # -- syntax -------------------------------------------------------------------
@@ -179,10 +177,6 @@ def _lex(src: str) -> list[_Token]:
     return toks
 
 
-def _sum(items: list) -> VarietyExpr:
-    return items[0] if len(items) == 1 else Sum(tuple(items))
-
-
 class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
@@ -221,6 +215,13 @@ class _Parser:
                              "expression too large")
         return norm
 
+    def _follow(self, end: str) -> tuple[str, ...]:
+        """The tokens that may follow a complete expression closed by `end`;
+        '^' only if its last factor has no exponent yet, that is, unless the
+        token before the one just taken is '^'."""
+        exponent_taken = self.toks[self.i - 2].kind == "^"
+        return ("'+'", "'-'", "'*'") + ((end,) if exponent_taken else ("'^'", end))
+
     def _multiplier(self, what: str) -> int:
         """An exponent or Sym order, at most MAX_DEGREE."""
         offset = self._peek().offset
@@ -235,25 +236,22 @@ class _Parser:
         e, _, _ = self.expr()
         t = self._peek()
         if t.kind != "EOF":
-            raise ParseError(t.offset, ("'+'", "'-'", "'*'", "'^'", "end of input"), t.text)
+            raise ParseError(t.offset, self._follow("end of input"), t.text)
         return e
 
     def expr(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset
-        acc, degree, norm = self.term()
-        # the operands of the sum being built, so that each Sum node is made
-        # once; a parenthesised sum as first operand is flattened into it
-        items = list(acc.items) if isinstance(acc, Sum) else [acc]
+        first, degree, norm = self.term()
+        # one term per operator; a parenthesised chain as first operand is
+        # merged into this one
+        terms = list(first.terms) if isinstance(first, Sum) else [(1, first)]
         while self._peek().kind in "+-":
-            op = self._take().kind
+            sign = 1 if self._take().kind == "+" else -1
             rhs, rhs_degree, rhs_norm = self.term()
             degree = max(degree, rhs_degree)
             norm = self._bound(offset, norm + rhs_norm)
-            if op == "+":
-                items.append(rhs)
-            else:
-                items = [Diff(_sum(items), rhs)]
-        return _sum(items), degree, norm
+            terms.append((sign, rhs))
+        return (first if len(terms) == 1 else Sum(tuple(terms))), degree, norm
 
     def term(self) -> tuple[VarietyExpr, int, int]:
         offset = self._peek().offset
@@ -285,7 +283,7 @@ class _Parser:
         if t.kind == "(":
             self._take()
             e = self.expr()
-            self._expect(")", ("')'",))
+            self._expect(")", self._follow("')'"))
             return e
         if t.kind != "WORD":
             raise ParseError(t.offset, _PRIMARY_START, t.text or "end of input")
@@ -296,7 +294,7 @@ class _Parser:
             order = self._multiplier("Sym order")
             self._expect("(", ("'('",))
             inner, degree, inner_norm = self.expr()
-            self._expect(")", ("')'",))
+            self._expect(")", self._follow("')'"))
             degree = self._cap(word.offset, order * degree)
             norm = comb(inner_norm + order - 1, order) if order else 1
             return Sym(order, inner), degree, self._bound(word.offset, norm)
@@ -345,20 +343,10 @@ def eval_expr(e: VarietyExpr) -> MotiveClass:
         return MotiveClass((e.value,))
     if isinstance(e, Lefschetz):
         return MotiveClass((0, 1))
-    if isinstance(e, (Sum, Diff)):
-        # a chain of '+' and '-' nests down its first operands; walk them in
-        # a loop, so that a flat chain of any length evaluates
-        spine = []
-        while isinstance(e, (Sum, Diff)):
-            spine.append(e)
-            e = e.items[0] if isinstance(e, Sum) else e.left
-        acc = eval_expr(e)
-        for node in reversed(spine):
-            if isinstance(node, Sum):
-                for item in node.items[1:]:
-                    acc = acc + eval_expr(item)
-            else:
-                acc = acc - eval_expr(node.right)
+    if isinstance(e, Sum):
+        acc = eval_expr(e.terms[0][1])
+        for sign, item in e.terms[1:]:
+            acc = acc + eval_expr(item) if sign > 0 else acc - eval_expr(item)
         return acc
     if isinstance(e, Prod):
         acc = MotiveClass((1,))
@@ -383,7 +371,7 @@ _ADD, _MUL, _POW, _PRIMARY = 1, 2, 3, 4
 
 
 def _prec(e: VarietyExpr) -> int:
-    if isinstance(e, (Sum, Diff)):
+    if isinstance(e, Sum):
         return _ADD
     if isinstance(e, Prod):
         return _MUL
@@ -392,36 +380,23 @@ def _prec(e: VarietyExpr) -> int:
     return _PRIMARY
 
 
-def _operand(e: VarietyExpr) -> str:
-    """A later operand of '+' or '-': at additive level it would re-associate."""
-    text = format_expr(e)
-    return f"({text})" if _prec(e) <= _ADD else text
-
-
 def format_expr(e: VarietyExpr) -> str:
     """Render a tree in canonical syntax; parse(format_expr(e)) == e for
-    trees in parser shape (no Sum directly under Sum or Prod under Prod)."""
+    trees in parser shape (no Sum first in a Sum, no Prod under Prod)."""
     if isinstance(e, Atom):
         return ATOMS[e.kind][0].format(*e.args)
     if isinstance(e, Lit):
         return str(e.value)
     if isinstance(e, Lefschetz):
         return "L"
-    if isinstance(e, (Sum, Diff)):
-        # walk the first operands in a loop, as eval_expr does; they print
-        # bare, except a Sum first in a Sum, which the parser never builds
-        tails = []
-        while isinstance(e, (Sum, Diff)):
-            if isinstance(e, Diff):
-                tails.append("-" + _operand(e.right))
-                e = e.left
-            else:
-                tails.append("".join("+" + _operand(item) for item in e.items[1:]))
-                e = e.items[0]
-                if isinstance(e, Sum):
-                    break
-        head = format_expr(e)
-        return (f"({head})" if isinstance(e, Sum) else head) + "".join(reversed(tails))
+    if isinstance(e, Sum):
+        parts = [format_expr(e.terms[0][1])]
+        for sign, item in e.terms[1:]:
+            text = format_expr(item)
+            if isinstance(item, Sum):  # a later chain would re-associate bare
+                text = f"({text})"
+            parts.append(("+" if sign > 0 else "-") + text)
+        return "".join(parts)
     if isinstance(e, Prod):
         parts = []
         for item in e.items:

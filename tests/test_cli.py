@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motivecount.cli import main
-from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, format_expr, parse
+from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, Sum, format_expr, parse
 
 
 def run(capsys, *argv):
@@ -60,6 +60,15 @@ def test_eval_syntax_error(capsys):
     ("P\u00b2", "SyntaxError at offset 1: expected expression, found '\u00b2'\n"),
     ("Sym2(1-L)", "error: non-effective class 1 - L: Sym is defined here only for "
                   "effective classes\n"),
+    # a factor takes one exponent, so '^' is not expected after one
+    ("P1^2^2", "SyntaxError at offset 4: expected '+', '-', '*', end of input, found ^\n"),
+    ("(P1)^2^3", "SyntaxError at offset 6: expected '+', '-', '*', end of input, found ^\n"),
+    ("Sym2(P1)^2^2", "SyntaxError at offset 10: expected '+', '-', '*', end of input, "
+                     "found ^\n"),
+    # inside parentheses every operator may come before the ')'
+    ("(P1 3", "SyntaxError at offset 4: expected '+', '-', '*', '^', ')', found 3\n"),
+    ("(P1^2 3", "SyntaxError at offset 6: expected '+', '-', '*', ')', found 3\n"),
+    ("Sym2(P1 3", "SyntaxError at offset 8: expected '+', '-', '*', '^', ')', found 3\n"),
 ])
 def test_eval_bad_input_exits_2(capsys, expr, err):
     code, out, got = run(capsys, "eval", expr)
@@ -184,17 +193,20 @@ def test_eval_coefficient_at_literal_limit(capsys, expr, largest):
         assert max(coeffs) == largest
 
 
-@pytest.mark.parametrize("expr,answer", [
-    ("-".join(["1"] * 2000), "-1998"),
-    ("P1" + "".join("+P1" if i % 2 else "-P1" for i in range(1, 5000)), "2 + 2*L"),
+@pytest.mark.parametrize("expr,answer,terms", [
+    ("-".join(["1"] * 2000), "-1998", 2000),
+    ("P1" + "".join("+P1" if i % 2 else "-P1" for i in range(1, 5000)), "2 + 2*L", 5000),
 ], ids=["difference-chain", "alternating-chain"])
-def test_eval_flat_chain(capsys, expr, answer):
-    """A flat chain of '+' and '-' nests down its first operands, to any
-    length; evaluating and formatting it walk them without recursing."""
+def test_eval_flat_chain(capsys, expr, answer, terms):
+    """A flat chain of '+' and '-' of any length is one Sum node, which
+    evaluates, prints, compares and hashes without recursing."""
     code, out, err = run(capsys, "eval", expr)
     assert (code, err) == (0, "") and out.splitlines()[0] == answer
-    # the texts, not the trees: comparing deep trees recurses
-    assert format_expr(parse(expr)) == expr
+    tree = parse(expr)
+    assert isinstance(tree, Sum) and len(tree.terms) == terms
+    assert tree == parse(expr) and hash(tree) == hash(parse(expr))
+    assert repr(tree).startswith("Sum(terms=((1, ")
+    assert format_expr(tree) == expr
 
 
 @pytest.mark.parametrize("expr", [

@@ -9,7 +9,6 @@ from motivecount.dsl import (
     MAX_INT_DIGITS,
     ArityError,
     Atom,
-    Diff,
     Lefschetz,
     Lit,
     ParseError,
@@ -31,18 +30,22 @@ def test_parse_product():
 
 def test_parse_assembly_expression():
     e = parse("(Hilb3 - P2*P3)*P11 + P2*(P11 - P1) + P2*P13")
-    assert isinstance(e, Sum) and len(e.items) == 3
-    first = e.items[0]
-    assert isinstance(first, Prod) and isinstance(first.items[0], Diff)
+    assert isinstance(e, Sum) and [sign for sign, _ in e.terms] == [1, 1, 1]
+    first = e.terms[0][1]
+    assert isinstance(first, Prod) and isinstance(first.items[0], Sum)
+    assert [sign for sign, _ in first.items[0].terms] == [1, -1]
 
 
 def test_parse_sum_shapes():
     p1, p2, p3 = (Atom("projective", (n,)) for n in (1, 2, 3))
-    # a parenthesised first operand is flattened, a later one is not
-    assert parse("(P1+P2)+P3") == Sum((p1, p2, p3))
-    assert parse("P1+(P2+P3)") == Sum((p1, Sum((p2, p3))))
-    assert parse("P1+P2-P3+L") == Sum((Diff(Sum((p1, p2)), p3), Lefschetz()))
-    assert parse("(P1+P2)-P3") == Diff(Sum((p1, p2)), p3)
+    # one signed term per operand; a parenthesised first operand is merged,
+    # a later one is not
+    assert parse("(P1+P2)+P3") == Sum(((1, p1), (1, p2), (1, p3)))
+    assert parse("P1+(P2+P3)") == Sum(((1, p1), (1, Sum(((1, p2), (1, p3))))))
+    assert parse("P1+P2-P3+L") == Sum(((1, p1), (1, p2), (-1, p3), (1, Lefschetz())))
+    assert parse("(P1+P2)-P3") == Sum(((1, p1), (1, p2), (-1, p3)))
+    assert parse("(P1-P2)-P3") == Sum(((1, p1), (-1, p2), (-1, p3)))
+    assert parse("P1-(P2-P3)") == Sum(((1, p1), (-1, Sum(((1, p2), (-1, p3))))))
 
 
 def test_parse_whitespace_insensitive():
@@ -155,8 +158,9 @@ def test_structural_evaluation_identities():
     a = parse("Gr(2,4)")
     b = parse("Hilb2 - P1")
     assert eval_expr(Prod((a, b))) == eval_expr(a) * eval_expr(b)
-    assert eval_expr(Diff(a, b)) == eval_expr(a) - eval_expr(b)
-    assert eval_expr(Sum((a, b, a))) == 2 * eval_expr(a) + eval_expr(b)
+    assert eval_expr(Sum(((1, a), (-1, b)))) == eval_expr(a) - eval_expr(b)
+    assert eval_expr(Sum(((1, a), (1, b), (1, a)))) == 2 * eval_expr(a) + eval_expr(b)
+    assert eval_expr(Sum(((1, a), (-1, b), (1, b)))) == eval_expr(a)
     assert eval_expr(Pow(b, 2)) == eval_expr(b) ** 2
 
 
@@ -179,14 +183,15 @@ def _atoms():
 
 
 def expr_trees(max_depth=4):
-    """Trees in parser shape: no Sum directly under Sum, no Prod under Prod."""
+    """Trees in parser shape: no Sum first in a Sum, no Prod under Prod."""
 
     def extend(children):
         non_sum = children.filter(lambda e: not isinstance(e, Sum))
         non_prod = children.filter(lambda e: not isinstance(e, Prod))
+        later = st.tuples(st.sampled_from([1, -1]), children)
         return st.one_of(
-            st.lists(non_sum, min_size=2, max_size=4).map(lambda xs: Sum(tuple(xs))),
-            st.builds(Diff, children, children),
+            st.builds(lambda first, rest: Sum(((1, first),) + tuple(rest)),
+                      non_sum, st.lists(later, min_size=1, max_size=3)),
             st.lists(non_prod, min_size=2, max_size=4).map(lambda xs: Prod(tuple(xs))),
             st.builds(Pow, children, st.integers(0, 5)),
             st.builds(Sym, st.integers(0, 4), children),
@@ -197,8 +202,8 @@ def expr_trees(max_depth=4):
 
 def _max_node_degree(tree) -> int:
     """Largest degree of any node, by the class degree of each atom (2n for
-    an Omega locus in Hilb n), 0 for a literal, the maximum over a sum or
-    difference, the sum over a product and k times the degree under ^k and
+    an Omega locus in Hilb n), 0 for a literal, the maximum over a chain of
+    '+' and '-', the sum over a product and k times the degree under ^k and
     Sym k."""
     nodes = []
 
@@ -211,9 +216,7 @@ def _max_node_degree(tree) -> int:
         elif isinstance(e, Lefschetz):
             d = 1
         elif isinstance(e, Sum):
-            d = max(degree(t) for t in e.items)
-        elif isinstance(e, Diff):
-            d = max(degree(e.left), degree(e.right))
+            d = max(degree(t) for _, t in e.terms)
         elif isinstance(e, Prod):
             d = sum(degree(t) for t in e.items)
         elif isinstance(e, Pow):

@@ -7,6 +7,7 @@ import pytest
 
 from motivecount import MotiveClass, evaluate, omega_locus, parse, format_expr
 from motivecount.atoms import hilb_p2, projective
+from motivecount.oracle.tables import ROWS
 from motivecount.strata import (
     DIMENSION,
     EXPECTED_EULER,
@@ -62,9 +63,15 @@ def test_registry_entries_parse_and_evaluate():
 
 
 def test_registry_roundtrip_formatting():
-    for sid, _, formula in EVERY_STRATUM:
+    """Every stratum formula and table row prints as written, spaces aside,
+    and parses back to its tree."""
+    formulas = ([formula for _, _, formula in EVERY_STRATUM]
+                + [params for rows in ROWS.values() for _, _, params in rows])
+    assert len(formulas) == 73
+    for formula in formulas:
         tree = parse(formula)
-        assert parse(format_expr(tree)) == tree, sid
+        assert format_expr(tree) == formula.replace(" ", ""), formula
+        assert parse(format_expr(tree)) == tree, formula
 
 
 @pytest.mark.parametrize("target", TARGETS)
