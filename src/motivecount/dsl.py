@@ -161,7 +161,7 @@ _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)|([()+\-*^,])|(\S)")
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'INT', 'WORD', a punctuation character, or 'EOF'
+    kind: str  # 'INT', 'WORD', a punctuation character, 'OTHER' or 'EOF'
     text: str
     offset: int
 
@@ -170,9 +170,9 @@ def _lex(src: str) -> list[_Token]:
     toks = []
     for m in _TOKEN.finditer(src):
         text = m[0]
-        if m.lastindex == 4:
-            raise ParseError(m.start(), ("expression",), repr(text))
-        toks.append(_Token(("INT", "WORD", text)[m.lastindex - 1], text, m.start()))
+        if not text.isprintable():  # shown escaped, so no control character reaches stderr
+            text = repr(text)
+        toks.append(_Token(("INT", "WORD", text, "OTHER")[m.lastindex - 1], text, m.start()))
     toks.append(_Token("EOF", "", len(src)))
     return toks
 

@@ -20,8 +20,6 @@ from .counting import (
     count_sym2_p2,
     projective_plane_count,
     punctual_ideal_records,
-    result_fields,
-    results_to_csv,
     run_bridge,
 )
 from .ideals import IdealRecord, enumerate_closed_subspaces, reduced_echelon_forms
@@ -33,6 +31,6 @@ __all__ = [
     "count_grassmannian", "count_hilb2_p2", "count_punctual_ideals",
     "count_punctual_total_vs_table", "count_sym2_p2",
     "enumerate_closed_subspaces", "expected_class", "projective_plane_count",
-    "punctual_ideal_records", "reduced_echelon_forms", "result_fields",
-    "results_to_csv", "run_bridge", "truncated_algebra",
+    "punctual_ideal_records", "reduced_echelon_forms", "run_bridge",
+    "truncated_algebra",
 ]

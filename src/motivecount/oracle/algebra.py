@@ -44,23 +44,15 @@ def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
         monomials = [(0, j) for j in range(c + 1)] + [(1, j) for j in range(c)]
     else:
         monomials = [(j, 0) for j in range(c + 1)] + [(0, j) for j in range(1, c + 1)]
+    # a product outside the basis is zero: a multiple of x^2 (ribbon) or xy
+    # (node), or of degree over c
     index = {m: i for i, m in enumerate(monomials)}
-
-    def shift(mon, dx, dy):
-        a, b = mon[0] + dx, mon[1] + dy
-        if curve == RIBBON and a >= 2:
-            return -1
-        if curve == NODE and a >= 1 and b >= 1:
-            return -1
-        if a + b > c:
-            return -1
-        return index[(a, b)]
 
     return LocalAlgebra(
         curve=curve,
         colength=c,
         monomials=tuple(monomials),
-        mul_x=tuple(shift(m, 1, 0) for m in monomials),
-        mul_y=tuple(shift(m, 0, 1) for m in monomials),
+        mul_x=tuple(index.get((a + 1, b), -1) for a, b in monomials),
+        mul_y=tuple(index.get((a, b + 1), -1) for a, b in monomials),
         dim=len(monomials),
     )

@@ -1,12 +1,5 @@
 """Public counting operations and the class-vs-count bridge checks.
 
-Punctual ideals are enumerated by the engine in :mod:`._pure`, which sweeps
-the truncated germ algebra once, one element per scalar class (at q = 2 all
-q^dim of them), and sums the distinct principal ideals pairwise.  Every
-basis the engine returns is in reduced echelon form, so it is its own
-canonical key: each principal closure back-substitutes once, and each pair
-sum extends a reduced basis row by row.
-
 The plane's points over F_q, q in (2, 3, 4, 9), are counted as coordinate
 triples whose first nonzero coordinate is 1, which needs no field
 arithmetic (:func:`projective_plane_count`); the length-2 counters work
@@ -17,14 +10,11 @@ A counter declines a count it will not make by raising
 or a punctual sweep over :data:`MAX_SWEEP` elements.  The limit admits every
 tabulated cell at q = 2 (colength up to 6) and at q = 3 up to colength 4.
 Every comparison goes through :func:`run_bridge`, which reports a declined
-count as a skipped row with its reason, never as a failure.  Every report
-prints a row's columns from :func:`result_fields`.
+count as a skipped row with its reason, never as a failure.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -156,27 +146,6 @@ class FqCountResult:
     @property
     def status(self) -> str:
         return "skip" if self.skipped else ("pass" if self.passed else "fail")
-
-
-#: an oracle row's columns, in order: attributes of :class:`FqCountResult`
-_COLUMNS = ("counter", "q", "params", "count", "expected", "status")
-
-
-def result_fields(r: FqCountResult) -> dict[str, object]:
-    """One oracle row's columns by name, in order, as every report prints
-    them; a skipped row's count is ``None``."""
-    return {name: getattr(r, name) for name in _COLUMNS}
-
-
-def results_to_csv(results) -> str:
-    """Oracle rows as CSV: the columns of :func:`result_fields` (status headed
-    ``pass``, a skipped count empty), then the count's time in ms."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pass" if name == "status" else name for name in _COLUMNS] + ["millis"])
-    for r in results:
-        writer.writerow([*result_fields(r).values(), f"{r.millis:.1f}"])
-    return buf.getvalue()
 
 
 def run_bridge(bridge: Bridge, q: int) -> FqCountResult:

@@ -15,11 +15,12 @@ projective-bundle exact divisions, and the difference against the pinned
 value.  Equality and inequality are both recorded, never patched: the
 sub-stratum bookkeeping is knowingly ambiguous (see README) and the main
 verification path never depends on it.
+
+The reports are data: :mod:`.cli` writes every document from them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .atoms import omega_locus, projective
@@ -272,146 +273,3 @@ def verify_all() -> tuple[tuple[VerificationReport, ...], ConsistencyReport]:
     informational: the targets' reports alone decide the pass."""
     return tuple(assemble(t) for t in TARGETS), omega26_assembled()
 
-
-# -- renderings ----------------------------------------------------------------
-
-def markdown_table(header, rows) -> str:
-    """A markdown table, each cell printed with str().  A column whose value
-    in the first row is a string is left-aligned, any other right-aligned
-    (every column, when there are no rows)."""
-    def line(cells) -> str:
-        return "| " + " | ".join(map(str, cells)) + " |"
-
-    rows = list(rows)
-    first = rows[0] if rows else [0] * len(header)
-    rule = "|" + "|".join("---" if isinstance(v, str) else "---:" for v in first) + "|"
-    return "\n".join([line(header), rule, *map(line, rows)]) + "\n"
-
-
-def betti_csv(cls: MotiveClass) -> str:
-    lines = ["i,b_2i"] + [f"{i},{b}" for i, b in enumerate(cls.coeffs)]
-    return "\n".join(lines) + "\n"
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "target": report.target,
-        "strata": [{"id": sid, "class": list(cls.coeffs)} for sid, cls in report.strata],
-        "assembled": list(report.assembled.coeffs),
-        "expected": list(report.expected.coeffs),
-        "euler_assembled": report.euler_assembled,
-        "flags": report.flags,
-        "pass": report.passed,
-    }
-
-
-def consistency_to_dict(report: ConsistencyReport) -> dict:
-    return {
-        "parts": [
-            {"id": sid, "class": list(cls.coeffs), "euler": cls.euler()}
-            for sid, cls in report.parts
-        ],
-        "bundles": [
-            {
-                "n": d.n,
-                "total_class": list(d.numerator.coeffs),
-                "total_euler": d.numerator.euler(),
-                "division_exact": d.exact,
-                "base_class": list(d.quotient.coeffs) if d.quotient is not None else None,
-                "base_euler": d.quotient.euler() if d.quotient is not None else None,
-                "detail": d.detail,
-            }
-            for d in report.divisions
-        ],
-        "assembled": list(report.assembled.coeffs),
-        "assembled_euler": report.assembled.euler(),
-        "stated": list(report.stated.coeffs),
-        "stated_euler": report.stated.euler(),
-        "difference": list(report.difference.coeffs),
-        "matches_stated": report.matches,
-    }
-
-
-def verification_dict(reports: tuple[VerificationReport, ...],
-                      omega26: ConsistencyReport | None) -> dict:
-    """The JSON document of what ``verify`` computed; ``report`` adds the
-    bridges to it."""
-    doc = {"schema": 1}
-    if reports:
-        doc["reports"] = [report_to_dict(r) for r in reports]
-    if omega26 is not None:
-        doc["omega26_consistency"] = consistency_to_dict(omega26)
-    if reports and omega26 is not None:  # verify_all()
-        doc["pass"] = all(r.passed for r in reports)
-    return doc
-
-
-def report_markdown(report: VerificationReport) -> str:
-    lines = [f"# {report.target}", ""]
-    lines.append(f"Euler number: {report.euler_assembled}")
-    lines.append(f"Degree: {report.assembled.degree}")
-    flag_text = ", ".join(f"{k}={'pass' if v else 'FAIL'}"
-                          for k, v in report.flags.items())
-    lines.append(f"Checks: {flag_text}")
-    lines.append("")
-    lines.append(markdown_table(("i", "b_2i"), enumerate(report.assembled.coeffs)))
-    return "\n".join(lines)
-
-
-def report_text(report: VerificationReport) -> str:
-    status = "pass" if report.passed else "FAIL"
-    lines = [f"{report.target}: {status}"]
-    for sid, cls in report.strata:
-        lines.append(f"  {sid}: {cls}")
-    lines.append(f"  assembled: {report.assembled}")
-    lines.append(f"  euler: {report.euler_assembled}")
-    for k, v in report.flags.items():
-        lines.append(f"  {k}: {'pass' if v else 'FAIL'}")
-    return "\n".join(lines) + "\n"
-
-
-def consistency_markdown(c: ConsistencyReport) -> str:
-    lines = ["# omega26 consistency (informational)", ""]
-    lines.append(f"Assembled euler: {c.assembled.euler()}; "
-                 f"stated euler: {c.stated.euler()}; "
-                 f"matches: {'yes' if c.matches else 'no'}")
-    lines.append("")
-    lines.append(markdown_table(("i", "b_2i"), enumerate(c.assembled.coeffs)))
-    return "\n".join(lines)
-
-
-def consistency_text(c: ConsistencyReport) -> str:
-    lines = ["omega26 consistency (informational):"]
-    for sid, cls in c.parts:
-        lines.append(f"  {sid}: {cls}  (euler {cls.euler()})")
-    for d in c.divisions:
-        base = str(d.quotient) if d.exact else f"NOT EXACT: {d.detail}"
-        lines.append(f"  bundle n={d.n}: total euler {d.numerator.euler()}; base {base}")
-    lines.append(f"  assembled: {c.assembled}  (euler {c.assembled.euler()})")
-    lines.append(f"  stated:    {c.stated}  (euler {c.stated.euler()})")
-    lines.append(f"  difference: {c.difference}")
-    lines.append(f"  matches stated value: {'yes' if c.matches else 'no'}")
-    return "\n".join(lines) + "\n"
-
-
-def render_verification(reports: tuple[VerificationReport, ...],
-                        omega26: ConsistencyReport | None, fmt: str) -> str:
-    """Render what ``verify`` computed, in json, csv, md or text: every
-    target's report with the consistency report (``verify_all()``), one
-    target's report, or the consistency report.  For every target, md and
-    text are the parts' blocks in turn; json adds the overall pass, and CSV
-    is one table keyed by target, with no consistency rows."""
-    every_target = bool(reports) and omega26 is not None
-    consistency = [] if omega26 is None else [omega26]
-    if fmt == "json":
-        return json.dumps(verification_dict(reports, omega26), indent=2) + "\n"
-    if fmt == "csv":
-        if not every_target:
-            return betti_csv((reports[0] if reports else omega26).assembled)
-        lines = ["target,i,b_2i"] + [f"{r.target},{i},{b}" for r in reports
-                                     for i, b in enumerate(r.assembled.coeffs)]
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        return "\n".join([report_markdown(r) for r in reports]
-                         + [consistency_markdown(c) for c in consistency])
-    return "".join([report_text(r) for r in reports] + [consistency_text(c) for c in consistency])

@@ -57,7 +57,15 @@ def test_eval_syntax_error(capsys):
          "'Omega', 'Sym', integer, '(', found end of input\n"),
     ("Lin(0)", "error: linear_system requires degree >= 1, got 0\n"),
     ("C(0)", "error: universal_curve requires degree >= 1, got 0\n"),
-    ("P\u00b2", "SyntaxError at offset 1: expected expression, found '\u00b2'\n"),
+    # a character outside the grammar is a wrong token like any other
+    ("P\u00b2", "SyntaxError at offset 1: expected integer, found \u00b2\n"),
+    ("P1 $", "SyntaxError at offset 3: expected '+', '-', '*', '^', end of input, found $\n"),
+    ("P$", "SyntaxError at offset 1: expected integer, found $\n"),
+    ("Gr(2$", "SyntaxError at offset 4: expected ',', found $\n"),
+    ("$", "SyntaxError at offset 0: expected 'L', 'A', 'P', 'Gr', 'Hilb', 'Lin', 'C', "
+          "'Omega', 'Sym', integer, '(', found $\n"),
+    ("P1 \x1b", "SyntaxError at offset 3: expected '+', '-', '*', '^', end of input, "
+                "found '\\x1b'\n"),
     ("Sym2(1-L)", "error: non-effective class 1 - L: Sym is defined here only for "
                   "effective classes\n"),
     # a factor takes one exponent, so '^' is not expected after one
@@ -487,6 +495,22 @@ PINNED_OUTPUTS = {
         "3a346327d1e81936a07e6d6998356e56330b6d95f7c7e709058c4eec75e11e06",
     "verify --target all --format text":
         "a3ee07196bcfa9ae6d5b6a18d2addfa8fe25b144f781e1e25e52fb75cfb29e19",
+    "verify --target m41 --format json":
+        "4571c4e50d9e10454920defde9a96612e6ddb036c651613bd5f5d993e3a6019b",
+    "verify --target m41 --format csv":
+        "4e78fa553f69c8060c584f4d5e704fae8fd54c14babf57532f71ecdbf07311e5",
+    "verify --target m41 --format md":
+        "12fbcd8b6213ea7decb42a73a72904c329c9317ec6fa1ec54904495675c256e3",
+    "verify --target m41 --format text":
+        "4d215bf44726a991dfd409a35444f8d96ab902418a1c13efdd09c1285c5808fb",
+    "verify --target omega26 --format json":
+        "98d7c432616483ab8cba64d92ab7442903d0d4c0178ce6378024fecb1702f6fa",
+    "verify --target omega26 --format csv":
+        "d3cfe9f175af00d8dc3ed37b5107567ec3a54e4ccd36cec80d63e778a6217370",
+    "verify --target omega26 --format md":
+        "e6c0fbd9356957897b0821a0b0b9d551101db1af69494ffd4d2d7851794b2e2a",
+    "verify --target omega26 --format text":
+        "870c8aa4cd7ef37a9cbb943137bb2f37872235de10b76a20d1e00fae4d12c89f",
     "report --format json":
         "29ebfa0d06393cb3d6b8c96c7532fe406b88b5ece589fd94622709b6ad78a7d4",
     "report --format md":

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from motivecount.atoms import Unsupported, grassmannian, hilb_p2, projective
+from motivecount.cli import result_fields, results_to_csv
 from motivecount.oracle import (
     BRIDGES,
     CURVES,
@@ -24,8 +25,6 @@ from motivecount.oracle import (
     projective_plane_count,
     punctual_ideal_records,
     reduced_echelon_forms,
-    result_fields,
-    results_to_csv,
     run_bridge,
     truncated_algebra,
 )
@@ -196,6 +195,19 @@ def test_multiplication_follows_the_monomial_order(curve):
             assert all(j == -1 or j > i for i, j in enumerate(mul_map)), (c, mul_map)
             images = [j for j in mul_map if j != -1]
             assert all(a < b for a, b in zip(images, images[1:])), (c, mul_map)
+        # each entry follows the germ's equations: x^a y^b is zero exactly
+        # when x^2 = 0 (ribbon) or xy = 0 (node) kills it, or a + b > c
+        for i, (a, b) in enumerate(alg.monomials):
+            assert not _vanishes(curve, c, a, b), (c, a, b)
+            for j, image in ((alg.mul_x[i], (a + 1, b)), (alg.mul_y[i], (a, b + 1))):
+                assert (j == -1) == _vanishes(curve, c, *image), (c, image, j)
+                assert j == -1 or alg.monomials[j] == image, (c, image, j)
+
+
+def _vanishes(curve, c, a, b):
+    """Whether x^a y^b is zero in the truncated algebra of the germ."""
+    germ = a >= 2 if curve == "ribbon" else a >= 1 and b >= 1
+    return germ or a + b > c
 
 
 def test_table_row_sums():

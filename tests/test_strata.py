@@ -7,6 +7,13 @@ import pytest
 
 from motivecount import MotiveClass, evaluate, omega_locus, parse, format_expr
 from motivecount.atoms import hilb_p2, projective
+from motivecount.cli import (
+    consistency_to_dict,
+    csv_table,
+    markdown_table,
+    report_to_dict,
+    verification_dict,
+)
 from motivecount.oracle.tables import ROWS
 from motivecount.strata import (
     DIMENSION,
@@ -16,12 +23,7 @@ from motivecount.strata import (
     STRATA,
     TARGETS,
     assemble,
-    betti_csv,
-    consistency_to_dict,
-    markdown_table,
     omega26_assembled,
-    report_to_dict,
-    verification_dict,
     verify_all,
 )
 
@@ -195,7 +197,7 @@ def test_betti_renderings():
     cls = MotiveClass((1, 2, 1))
     md = markdown_table(("i", "b_2i"), enumerate(cls.coeffs))
     assert "| i | b_2i |" in md and "| 1 | 2 |" in md
-    csv_text = betti_csv(cls)
+    csv_text = csv_table(("i", "b_2i"), enumerate(cls.coeffs))
     assert csv_text.splitlines() == ["i,b_2i", "0,1", "1,2", "2,1"]
 
 
