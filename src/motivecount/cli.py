@@ -9,7 +9,10 @@ progress on standard error; standard output carries only the payload.
 
 Every document is written here, from the data that :mod:`.strata` and
 :mod:`.oracle` return: JSON by :func:`json_document`, CSV by
-:func:`csv_table` and markdown tables by :func:`markdown_table`.
+:func:`csv_table` and markdown tables by :func:`markdown_table`.  Each
+``cmd_*`` function returns its document and exit status; :func:`main`
+writes every document, to the ``-o`` path or standard output, and returns
+every exit status.
 """
 
 from __future__ import annotations
@@ -46,16 +49,6 @@ VERIFY_TARGETS = TARGETS + ("omega26", "all")
 
 class UsageError(Exception):
     pass
-
-
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        if sys.stdout is None:  # started with standard output closed
-            raise OSError("standard output is closed")
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _parse_qlist(raw: str) -> list[int]:
@@ -246,7 +239,7 @@ def results_to_csv(results) -> str:
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[str, int]:
     cls = evaluate(args.expr)
     if args.format == "json":
         doc = {
@@ -256,28 +249,28 @@ def cmd_eval(args) -> int:
             "degree": cls.degree,
             "euler": cls.euler(),
         }
-        _write(json_document(doc), args.output)
+        document = json_document(doc)
     else:
         lines = [str(cls),
                  f"coeffs: {list(cls.coeffs)}",
                  f"degree: {cls.degree}  euler: {cls.euler()}"]
-        _write("\n".join(lines) + "\n", args.output)
-    return 0
+        document = "\n".join(lines) + "\n"
+    return document, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     if args.target == "all":
         reports, omega26 = verify_all()
     elif args.target == "omega26":
         reports, omega26 = (), omega26_assembled()
     else:
         reports, omega26 = (assemble(args.target),), None
-    _write(render_verification(reports, omega26, args.format), args.output)
     # the consistency comparison is informational and never alone forces a failure
-    return 0 if all(r.passed for r in reports) else 1
+    status = 0 if all(r.passed for r in reports) else 1
+    return render_verification(reports, omega26, args.format), status
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[str, int]:
     qs = _parse_qlist(args.q)
     if not 1 <= args.max_colength <= MAX_COLENGTH:
         raise UsageError(f"max-colength must be in 1..{MAX_COLENGTH}")
@@ -288,32 +281,29 @@ def cmd_oracle(args) -> int:
                 for q in qs:
                     print(f"counting {curve} colength {c} at q={q} ...", file=sys.stderr)
                     results.append(count_punctual_total_vs_table(curve, c, q))
-    elif args.check == "bridges":
-        results = bridge_check_all(qs)
-    else:  # one counter's bridges: gr or hilb2
-        results = [run_bridge(b, q) for b in BRIDGES.values() if b.counter == args.check
-                   for q in qs]
+    else:  # every bridge, or one counter's: gr or hilb2
+        results = [run_bridge(b, q) for b in BRIDGES.values()
+                   if args.check in ("bridges", b.counter) for q in qs]
     for r in results:
         if r.skipped:
             print(f"skip {r.reason}", file=sys.stderr)
-    _write(results_to_csv(results), args.output)
-    return 0 if all(r.passed or r.skipped for r in results) else 1
+    status = 0 if all(r.passed or r.skipped for r in results) else 1
+    return results_to_csv(results), status
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[str, int]:
     reports, omega26 = verify_all()
     bridges = bridge_check_all([2, 3])
     rows = [result_fields(r) for r in bridges]
     if args.format == "json":
         doc = verification_dict(reports, omega26)
         doc["bridges"] = rows
-        _write(json_document(doc), args.output)
+        document = json_document(doc)
     else:
         table = markdown_table(list(rows[0]), [row.values() for row in rows])
-        _write(render_verification(reports, omega26, "md") + "\n# oracle bridges\n\n" + table,
-               args.output)
+        document = render_verification(reports, omega26, "md") + "\n# oracle bridges\n\n" + table
     ok = all(r.passed for r in reports) and all(r.passed or r.skipped for r in bridges)
-    return 0 if ok else 1
+    return document, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate an expression to its class")
     p_eval.add_argument("expr")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.add_argument("-o", "--output", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="assemble and check the moduli classes")
     p_verify.add_argument("--target", choices=VERIFY_TARGETS, required=True)
     p_verify.add_argument("--format", choices=("json", "csv", "md", "text"), default="text")
-    p_verify.add_argument("-o", "--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="finite-field counting checks")
@@ -340,13 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
                           required=True)
     p_oracle.add_argument("--q", default="2,3", help="comma-separated field sizes")
     p_oracle.add_argument("--max-colength", type=int, default=MAX_COLENGTH)
-    p_oracle.add_argument("-o", "--output", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_report = sub.add_parser("report", help="verification plus oracle summary")
     p_report.add_argument("--format", choices=("json", "md"), default="md")
-    p_report.add_argument("-o", "--output", default=None)
     p_report.set_defaults(func=cmd_report)
+    # declared last, so each command's usage and help list it after the
+    # command's own options
+    for command in sub.choices.values():
+        command.add_argument("-o", "--output", default=None)
     return parser
 
 
@@ -358,7 +348,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        document, status = args.func(args)
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        elif sys.stdout is None:  # started with standard output closed
+            raise OSError("standard output is closed")
+        else:
+            sys.stdout.write(document)
+        return status
     except ParseError as exc:
         message = (f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "
                    f"found {exc.found}")

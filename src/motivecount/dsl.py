@@ -367,19 +367,6 @@ def evaluate(source: str) -> MotiveClass:
 
 # -- formatting ----------------------------------------------------------------
 
-_ADD, _MUL, _POW, _PRIMARY = 1, 2, 3, 4
-
-
-def _prec(e: VarietyExpr) -> int:
-    if isinstance(e, Sum):
-        return _ADD
-    if isinstance(e, Prod):
-        return _MUL
-    if isinstance(e, Pow):
-        return _POW
-    return _PRIMARY
-
-
 def format_expr(e: VarietyExpr) -> str:
     """Render a tree in canonical syntax; parse(format_expr(e)) == e for
     trees in parser shape (no Sum first in a Sum, no Prod under Prod)."""
@@ -401,13 +388,13 @@ def format_expr(e: VarietyExpr) -> str:
         parts = []
         for item in e.items:
             text = format_expr(item)
-            if _prec(item) < _MUL or isinstance(item, Prod):
+            if isinstance(item, (Sum, Prod)):
                 text = f"({text})"
             parts.append(text)
         return "*".join(parts)
     if isinstance(e, Pow):
         base = format_expr(e.base)
-        if _prec(e.base) < _PRIMARY:
+        if isinstance(e.base, (Sum, Prod, Pow)):
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Sym):

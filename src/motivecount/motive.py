@@ -137,7 +137,8 @@ class MotiveClass:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # a constant class equals its int, so it hashes like it
+        return hash(self._coeffs if len(self._coeffs) > 1 else self[0])
 
     # -- domain operations ---------------------------------------------------
 

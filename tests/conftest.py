@@ -18,7 +18,7 @@ except ImportError:
 @pytest.fixture(scope="session")
 def bridges_q23():
     """``bridge_check_all([2, 3])``, computed once per session: the ``report``
-    command and ``oracle --check bridges`` both run this sweep."""
+    command runs this sweep."""
     from motivecount.oracle import bridge_check_all
 
     return tuple(bridge_check_all([2, 3]))
@@ -26,8 +26,9 @@ def bridges_q23():
 
 @pytest.fixture
 def shared_bridges(monkeypatch, bridges_q23):
-    """Serve the command line's ``bridge_check_all([2, 3])`` from the
-    session's one run; any other q list is computed as usual."""
+    """Serve ``report``'s ``bridge_check_all([2, 3])`` from the session's one
+    run; any other q list is computed as usual.  ``oracle --check bridges``
+    runs each bridge itself, so it always computes."""
     import motivecount.cli as cli
 
     compute = cli.bridge_check_all

@@ -352,20 +352,53 @@ def test_verify_unknown_target():
     assert err.value.code == 2
 
 
-def test_verify_output_file(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--target", "all", "--format", "json",
-                       "-o", str(path))
+def _untimed(text):
+    """Oracle rows with the millis column cut off."""
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    "eval P2 --format json",
+    "verify --target all --format json",
+    "verify --target m41 --format md",
+    "oracle --check gr --q 2",
+    "report --format json",
+])
+def test_output_file(tmp_path, capsys, shared_bridges, argv):
+    """Every command's -o writes the bytes it would print and prints
+    nothing; a path it cannot open exits 2 with a message."""
+    code, printed, _ = run(capsys, *argv.split())
+    assert code == 0
+    path = tmp_path / "out"
+    code, out, _ = run(capsys, *argv.split(), "-o", str(path))
     assert code == 0 and out == ""
-    doc = json.loads(path.read_text())
-    assert len(doc["reports"]) == 6
-
-
-def test_unwritable_output_file(tmp_path, capsys):
-    code, out, err = run(capsys, "verify", "--target", "m11",
-                         "-o", str(tmp_path / "missing" / "x"))
+    written = path.read_bytes().decode("utf-8")
+    if argv.startswith("oracle"):  # the millis column varies by run
+        written, printed = _untimed(written), _untimed(printed)
+    assert written == printed
+    if argv == "verify --target all --format json":
+        assert len(json.loads(written)["reports"]) == 6
+    code, out, err = run(capsys, *argv.split(), "-o", str(tmp_path / "missing" / "x"))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,usage", [
+    ("eval", "[-h] [--format {text,json}] [-o OUTPUT] expr"),
+    ("verify", "[-h] --target {m11,m21,m31,m41,m51,m52,omega26,all} "
+               "[--format {json,csv,md,text}] [-o OUTPUT]"),
+    ("oracle", "[-h] --check {gr,punctual,hilb2,bridges} [--q Q] "
+               "[--max-colength MAX_COLENGTH] [-o OUTPUT]"),
+    ("report", "[-h] [--format {json,md}] [-o OUTPUT]"),
+])
+def test_usage_lists_output_last(capsys, monkeypatch, command, usage):
+    """-o is declared once for every command, after the command's own
+    options, so usage and help text list it last."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: motivecount {command} {usage}"
 
 
 def test_oracle_gr(capsys):
@@ -559,8 +592,7 @@ def test_oracle_output_bytes_pinned(capsys, argv):
     """The oracle's rows, skip reasons and exit code, byte for byte but for
     the timings."""
     code, out, err = run(capsys, *argv.split())
-    masked = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
-    digest = hashlib.sha256(masked.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_untimed(out).encode("utf-8")).hexdigest()
     assert (code, digest, err) == PINNED_ORACLE_OUTPUTS[argv]
 
 

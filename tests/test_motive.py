@@ -158,6 +158,10 @@ def test_hash_and_equality():
     assert MotiveClass((1,)) == 1
     assert MotiveClass((1, 1)) != 1
     assert len({ONE, MotiveClass((1,)), L}) == 2
+    # a constant class equals its int, so it hashes like it
+    assert len({MotiveClass((3,)), 3}) == 1
+    assert {3: "x"}.get(MotiveClass((3,))) == "x"
+    assert len({ZERO, 0}) == 1
 
 
 small_classes = st.builds(
