@@ -18,8 +18,6 @@ from functools import lru_cache
 
 from .motive import MotiveClass, power_exp
 
-HILB_MAX = 8
-
 
 class Unsupported(ValueError):
     """Input the calculator or the oracle declines: an atom parameter outside
@@ -70,13 +68,11 @@ def hilb_p2(n: int) -> MotiveClass:
 
     The t^n coefficient of Goettsche's generating function
     Exp([P^2] t / (1 - L t)) = Exp(sum_m [P^2] L^(m-1) t^m), by
-    :func:`~motivecount.motive.power_exp`.  Only n <= 8 is enabled; the
-    computations here need n in {1, 2, 3, 6}.
+    :func:`~motivecount.motive.power_exp`.  The parser's degree cap
+    :data:`~motivecount.dsl.MAX_DEGREE` admits n up to 100 (about 0.3 s).
     """
     if n < 0:
         raise ValueError("number of points must be >= 0")
-    if n > HILB_MAX:
-        raise Unsupported(f"hilb_p2 implemented for n <= {HILB_MAX}, got {n}")
     return power_exp([projective(2) * affine(m - 1) for m in range(1, n + 1)], n)
 
 

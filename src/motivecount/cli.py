@@ -18,6 +18,7 @@ every exit status.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -51,16 +52,23 @@ class UsageError(Exception):
     pass
 
 
+def integer(text: str) -> int:
+    """An integer as the expression language reads one: at most MAX_INT_DIGITS ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or len(text) > MAX_INT_DIGITS:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_qlist(raw: str) -> list[int]:
     try:
-        qs = [int(part) for part in raw.split(",")]
+        qs = [integer(part) for part in raw.split(",")]
     except ValueError:
         raise UsageError(f"bad q list {raw!r}")
-    if any(q not in (2, 3, 4) for q in qs):
-        raise UsageError(f"q must be from {{2,3,4}}, got {raw!r}")
-    for i, q in enumerate(qs):
-        if q in qs[:i]:
+    seen = set()  # a list of distinct sizes may be long
+    for q in qs:
+        if q in seen:
             raise UsageError(f"q {q} repeated in {raw!r}")
+        seen.add(q)
     return qs
 
 
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"),
                           required=True)
     p_oracle.add_argument("--q", default="2,3", help="comma-separated field sizes")
-    p_oracle.add_argument("--max-colength", type=int, default=MAX_COLENGTH)
+    p_oracle.add_argument("--max-colength", type=integer, default=MAX_COLENGTH)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_report = sub.add_parser("report", help="verification plus oracle summary")
@@ -341,21 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the parser bounds every integer to MAX_INT_DIGITS digits, so a lower
-    # int-to-str limit (PYTHONINTMAXSTRDIGITS) would only stop an admitted
-    # answer from printing; Python before 3.10.7 has no such limit
-    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < MAX_INT_DIGITS:
-        sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    # every integer is read with at most MAX_INT_DIGITS digits, so an int-to-str
+    # limit (PYTHONINTMAXSTRDIGITS) would only stop an answer, say Gr(2,6) at q, printing
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        document, status = args.func(args)
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(document)
-        elif sys.stdout is None:  # started with standard output closed
+        if args.output is None and sys.stdout is None:  # started with stdout closed
             raise OSError("standard output is closed")
-        else:
-            sys.stdout.write(document)
+        # opened first, as by the shell's >: a command that then fails leaves it empty
+        with (contextlib.nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="utf-8")) as out:
+            document, status = args.func(args)
+            out.write(document)
         return status
     except ParseError as exc:
         message = (f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..atoms import Unsupported
+
 RIBBON = "ribbon"
 NODE = "node"
 CURVES = (RIBBON, NODE)
@@ -36,9 +38,9 @@ class LocalAlgebra:
 @lru_cache(maxsize=None)
 def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
     if curve not in CURVES:
-        raise ValueError(f"curve must be one of {CURVES}, got {curve!r}")
+        raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")
     if colength < 1:
-        raise ValueError("colength must be >= 1")
+        raise Unsupported("colength must be >= 1")
     c = colength
     if curve == RIBBON:
         monomials = [(0, j) for j in range(c + 1)] + [(1, j) for j in range(c)]

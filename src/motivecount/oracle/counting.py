@@ -1,16 +1,16 @@
 """Public counting operations and the class-vs-count bridge checks.
 
-The plane's points over F_q, q in (2, 3, 4, 9), are counted as coordinate
-triples whose first nonzero coordinate is 1, which needs no field
-arithmetic (:func:`projective_plane_count`); the length-2 counters work
-from the counts over F_q and F_(q^2).
+The plane's points over F_q are counted as coordinate triples whose first
+nonzero coordinate is 1, which needs no field arithmetic
+(:func:`projective_plane_count`); the length-2 counters work from the
+counts over F_q and F_(q^2).
 
-A counter declines a count it will not make by raising
-:class:`~motivecount.atoms.Unsupported`: a field size it does not support,
-or a punctual sweep over :data:`MAX_SWEEP` elements.  The limit admits every
-tabulated cell at q = 2 (colength up to 6) and at q = 3 up to colength 4.
-Every comparison goes through :func:`run_bridge`, which reports a declined
-count as a skipped row with its reason, never as a failure.
+Each counter alone states the field sizes it takes, and declines any other
+through :func:`~motivecount.oracle.ideals.require_field`; a punctual count
+also declines a sweep over :data:`MAX_SWEEP` elements.  Both raise
+:class:`~motivecount.atoms.Unsupported`.  Every comparison goes through
+:func:`run_bridge`, which reports a declined count as a skipped row with
+its reason, never as a failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from ..motive import MotiveClass
 from . import _pure
 from .algebra import CURVES, truncated_algebra
-from .ideals import IdealRecord, reduced_echelon_forms
+from .ideals import PRIMES, IdealRecord, reduced_echelon_forms, require_field
 from .tables import MAX_COLENGTH, expected_class
 
 #: most elements, one per scalar class, 1 + (q^dim - 1)/(q - 1), that one
@@ -41,14 +41,10 @@ MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
 def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealRecord, ...]:
     """Canonical records of all ideals of the given colength, validated to
     be closed under multiplication."""
-    if curve not in CURVES:
-        raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")
     if not 1 <= colength <= MAX_COLENGTH:
         raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
-    if q not in (2, 3):
-        raise Unsupported(f"{curve} colength {colength} at q={q}: "
-                          f"punctual counting supports q in (2, 3)")
     alg = truncated_algebra(curve, colength)
+    require_field(f"{curve} colength {colength}", q, PRIMES)
     sweep = 1 + (q ** alg.dim - 1) // (q - 1)
     if sweep > MAX_SWEEP:
         raise Unsupported(
@@ -68,8 +64,7 @@ def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
 def count_grassmannian(k: int, n: int, q: int) -> int:
     """Number of k-dimensional subspaces of n-space over F_q, counted by
     enumerating reduced echelon forms."""
-    if q not in (2, 3, 4):
-        raise Unsupported(f"gr({k},{n}) at q={q}: counting supports q in (2, 3, 4)")
+    require_field(f"gr({k},{n})", q, (2, 3, 4))
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got ({k}, {n})")
     return sum(1 for _ in reduced_echelon_forms(k, n, q))
@@ -80,16 +75,14 @@ def count_grassmannian(k: int, n: int, q: int) -> int:
 def projective_plane_count(q: int) -> int:
     """Points of the projective plane over F_q: the triples over 0..q-1, with
     0 and 1 the field's zero and one, whose first nonzero coordinate is 1."""
-    if q not in (2, 3, 4, 9):
-        raise Unsupported(f"field order {q} not supported (need one of [2, 3, 4, 9])")
+    require_field("plane points", q, (2, 3, 4, 9))
     return sum(1 for v in product(range(q), repeat=3)
                if next((c for c in v if c), None) == 1)
 
 
 def _plane_counts(counter: str, q: int) -> tuple[int, int]:
     """The plane's point counts over F_q and F_(q^2), for a length-2 counter."""
-    if q not in (2, 3):
-        raise Unsupported(f"{counter} at q={q}: counting supports q in (2, 3)")
+    require_field(counter, q, (2, 3))
     return projective_plane_count(q), projective_plane_count(q * q)
 
 

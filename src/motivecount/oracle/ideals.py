@@ -36,6 +36,12 @@ Row = tuple[int, int]  # (pivot index, normalized packed row)
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def require_field(what: str, q: int, sizes: tuple[int, ...]) -> None:
+    """Decline, as :class:`~motivecount.atoms.Unsupported`, a q not in sizes."""
+    if q not in sizes:
+        raise Unsupported(f"{what} at q={q}: counting supports q in {sizes}")
+
+
 def pack(v: Vector) -> int:
     """The packed form of a coefficient tuple: coefficient i in byte i."""
     return int.from_bytes(bytes(v), "little")
@@ -246,8 +252,7 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     colength 5 at q = 2 sweeps 200,787 forms in about 0.9 s, while colength 6
     sweeps 1.1 x 10^8 and still takes minutes.
     """
-    if q not in PRIMES:
-        raise Unsupported(f"closed subspaces at q={q}: q must be a prime in {PRIMES}")
+    require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
     deg = [a + b for a, b in alg.monomials]
     forced = [i for i, d in enumerate(deg) if d >= colength]

@@ -107,8 +107,9 @@ def test_hilb_examples():
     assert hilb_p2(2).evaluate(2) == 49
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", [*range(9), 20, 50, 100])
 def test_hilb_structure(n):
+    """Up to n = 100, the most the degree cap MAX_DEGREE = 200 admits."""
     h = hilb_p2(n)
     assert h.degree == 2 * n
     assert h[0] == 1
@@ -119,11 +120,6 @@ def test_hilb_structure(n):
 
 def test_hilb_euler_table():
     assert [hilb_p2(n).euler() for n in range(1, 7)] == [3, 9, 22, 51, 108, 221]
-
-
-def test_hilb_out_of_range():
-    with pytest.raises(Unsupported, match=r"^hilb_p2 implemented for n <= 8, got 9$"):
-        hilb_p2(9)
 
 
 def test_linear_system():
@@ -161,7 +157,7 @@ def test_atom_table_degree_rules_are_the_class_degrees():
     assert all(callable(getattr(atoms, kind, None)) for kind in ATOMS)
     cases = ([("affine", (n,)) for n in range(6)] + [("projective", (n,)) for n in range(6)]
              + [("grassmannian", (k, n)) for n in range(7) for k in range(n + 1)]
-             + [("hilb_p2", (n,)) for n in range(9)]
+             + [("hilb_p2", (n,)) for n in (*range(9), 100)]
              + [(kind, (d,)) for kind in ("linear_system", "universal_curve") for d in range(1, 7)])
     for kind, args in cases:
         assert ATOMS[kind][1](*args) == getattr(atoms, kind)(*args).degree, (kind, args)

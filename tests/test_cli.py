@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motivecount.atoms import grassmannian
 from motivecount.cli import main
 from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, Sum, format_expr, parse
 
@@ -144,12 +145,13 @@ DIGITS = f"a coefficient may have more than {MAX_INT_DIGITS} digits"
     ("L^201", "expression too large at offset 2: exponent 201 is over 200"),
     ("1 + P100*P100*L", "expression too large at offset 4: degree 201 is over 200"),
     ("(P2*P3)^41", "expression too large at offset 0: degree 205 is over 200"),
+    ("Hilb101", "expression too large at offset 0: degree 202 is over 200"),
     ("((2^200)^200)^200", f"{TOO_LONG} at offset 1: {DIGITS}"),
     ("(((2^200)^200)^200)^200", f"{TOO_LONG} at offset 2: {DIGITS}"),
     ("Sym 200(Sym 200(Sym 200(2)))", f"{TOO_LONG} at offset 0: {DIGITS}"),
 ], ids=["gr-param", "gr-degree-0", "gr-degree", "p-param", "sym-degree", "sym-order",
-        "exponent", "product", "power", "power-of-power", "power-of-power-of-power",
-        "sym-of-sym"])
+        "exponent", "product", "power", "hilb-degree", "power-of-power",
+        "power-of-power-of-power", "sym-of-sym"])
 def test_eval_over_degree_cap_exits_2_fast(capsys, expr, message):
     """Each input gets its answer or exit 2 within a second."""
     assert MAX_DEGREE == 200
@@ -246,6 +248,30 @@ def test_eval_under_a_low_int_string_limit(capsys):
     code, out, err = sym_run
     assert (code, err) == (0, "")
     assert len(str(max(json.loads(out)["class"]))) > 640
+
+
+@pytest.mark.parametrize("destination", ["unwritable -o", "closed stdout"])
+def test_destination_checked_before_the_command_runs(tmp_path, monkeypatch, destination):
+    """An unwritable -o path or a closed standard output exits 2 before any
+    counting: no progress line reaches standard error."""
+    argv = ["oracle", "--check", "punctual", "--q", "2", "--max-colength", "6"]
+    if destination == "closed stdout":
+        monkeypatch.setattr(sys, "stdout", None)
+    else:
+        argv += ["-o", str(tmp_path / "missing" / "x")]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and "counting" not in err.getvalue()
+
+
+def test_failed_command_leaves_an_empty_output_file(tmp_path, capsys):
+    """-o is opened before the command runs, as the shell's > is."""
+    path = tmp_path / "out"
+    path.write_text("old", encoding="utf-8")
+    assert run(capsys, "eval", "Lin(0)", "-o", str(path))[0] == 2
+    assert path.read_bytes() == b""
 
 
 def test_closed_stdout_exits_2(monkeypatch):
@@ -465,7 +491,7 @@ def test_oracle_bridges_unsupported_q_skips(capsys):
     assert reasons == [
         "skip hilb2 at q=4: counting supports q in (2, 3)",
         "skip sym2p2 at q=4: counting supports q in (2, 3)",
-    ] + [f"skip {curve} colength {c} at q=4: punctual counting supports q in (2, 3)"
+    ] + [f"skip {curve} colength {c} at q=4: counting supports q in (2, 3, 5, 7, 11, 13)"
          for curve in ("ribbon", "node") for c in (1, 2, 3, 4)]
 
 
@@ -477,16 +503,26 @@ def test_oracle_punctual_unsupported_q_skips(capsys):
     assert [row.rsplit(",", 1)[0] for row in rows] == [
         "punctual,4,ribbon:1,,1,skip", "punctual,4,ribbon:2,,5,skip",
         "punctual,4,node:1,,1,skip", "punctual,4,node:2,,5,skip"]
-    assert "skip node colength 2 at q=4: punctual counting supports q in (2, 3)\n" in err
+    assert "skip node colength 2 at q=4: counting supports q in (2, 3, 5, 7, 11, 13)\n" in err
     assert sum(line.startswith("skip ") for line in err.splitlines()) == 4
 
 
 def test_oracle_bad_q(capsys):
-    code, _, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
-    assert code == 2
-    assert "error" in err
-    # an empty item is an error, not skipped
-    for qs in ("2,,3", "2,", ",2", ""):
+    # a field size its counter does not take is a skipped row, not an error
+    code, out, err = run(capsys, "oracle", "--check", "gr", "--q", "7")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.startswith("gr,7,") and ",skip," in row for row in rows)
+    assert err.splitlines() == [f"skip gr({k},{n}) at q=7: counting supports q in (2, 3, 4)"
+                                for k, n in ((1, 2), (1, 3), (2, 4), (2, 5), (2, 6))]
+    # a q of 1000 digits is read, and Gr(2,6) evaluated at it, of about
+    # 8000 digits, prints whatever the interpreter's int-to-str limit
+    code, out, _ = run(capsys, "oracle", "--check", "gr", "--q", "9" * 1000)
+    assert code == 0 and str(grassmannian(2, 6).evaluate(10 ** 1000 - 1)) in out
+    # an empty item is an error, not skipped, and an integer is ASCII digits
+    # only: no other script's digits, sign, space or other notation
+    for qs in ("2,,3", "2,", ",2", "", "\u0663", "2,\u0663", "+3", "-3", " 3", "3 ", "0x3",
+               "3.0", "3_0", "9" * 1001):
         code, out, err = run(capsys, "oracle", "--check", "gr", "--q", qs)
         assert (code, out, err) == (2, "", f"error: bad q list {qs!r}\n")
 
@@ -499,13 +535,32 @@ def test_oracle_repeated_q_exits_2(capsys, check, qs, repeated):
     assert (code, out, err) == (2, "", f"error: q {repeated} repeated in '{qs}'\n")
 
 
+def test_oracle_long_q_list_is_read_fast(capsys):
+    """Any field size reaches the counters, so a list may hold thousands of
+    distinct ones; a repeat at its end is still found within a second."""
+    qs = ",".join(map(str, range(10000, 30000))) + ",10000"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--check", "gr", "--q", qs)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: q 10000 repeated in {qs!r}\n")
+
+
 @pytest.mark.parametrize("check", ["gr", "punctual", "hilb2", "bridges"])
-@pytest.mark.parametrize("colength", ["0", "7"])
+@pytest.mark.parametrize("colength", ["0", "7", "\u0663", "+3", " 3"])
 def test_oracle_max_colength_out_of_range_exits_2(capsys, check, colength):
-    """Every --check rejects the value, not only the punctual one that uses it."""
-    code, out, err = run(capsys, "oracle", "--check", check, "--q", "2",
-                         "--max-colength", colength)
-    assert (code, out, err) == (2, "", "error: max-colength must be in 1..6\n")
+    """Every --check rejects the value, not only the punctual one that uses
+    it; an integer is ASCII digits only, so another script's digit, a sign
+    or a space is a usage error."""
+    argv = ["oracle", "--check", check, "--q", "2", "--max-colength", colength]
+    if colength in ("0", "7"):
+        assert run(capsys, *argv) == (2, "", "error: max-colength must be in 1..6\n")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        f"error: argument --max-colength: invalid integer value: {colength!r}\n")
 
 
 def test_report_json(capsys, shared_bridges):
@@ -583,7 +638,7 @@ PINNED_ORACLE_OUTPUTS = {
         0, "cc6364fdde5f4cb481e877ba542c8f31c65a0405accef121c1bbeacd62d473d2",
         _skips(4, ("hilb2", "sym2p2"), "counting supports q in (2, 3)")
         + _skips(4, (f"{curve} colength {c}" for curve in ("ribbon", "node")
-                     for c in (1, 2, 3, 4)), "punctual counting supports q in (2, 3)")),
+                     for c in (1, 2, 3, 4)), "counting supports q in (2, 3, 5, 7, 11, 13)")),
 }
 
 

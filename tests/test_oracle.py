@@ -66,7 +66,8 @@ def test_projective_plane_counts():
     assert projective_plane_count(4) == 21
     assert projective_plane_count(9) == 91
     for q in (1, 5, 8):
-        with pytest.raises(Unsupported, match=rf"^field order {q} not supported"):
+        with pytest.raises(Unsupported, match=rf"^plane points at q={q}: counting supports q in "
+                                              r"\(2, 3, 4, 9\)$"):
             projective_plane_count(q)
 
 
@@ -246,6 +247,17 @@ def test_punctual_counts_match_tables_small(curve, q, maxc):
         assert count_punctual_ideals(curve, c, q) == expected, (curve, c, q)
 
 
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("q,maxc", [(5, 2), (7, 2), (11, 1), (13, 1)])
+def test_punctual_counts_at_the_larger_primes(curve, q, maxc):
+    """Every cell the sweep limit admits at the kernel's other primes: the
+    engine finds every closed subspace, and their number is the row sum."""
+    for c in range(1, maxc + 1):
+        records = {r.basis for r in punctual_ideal_records(curve, c, q)}
+        assert records == enumerate_closed_subspaces(truncated_algebra(curve, c), q, c)
+        assert len(records) == expected_class(curve, c).evaluate(q), (curve, c, q)
+
+
 def test_punctual_node_colength5():
     assert count_punctual_ideals("node", 5, 2) == expected_class("node", 5).evaluate(2) == 9
 
@@ -306,7 +318,7 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
 @pytest.mark.parametrize("q", [4, 17])
 def test_closed_subspaces_need_a_prime_the_kernel_supports(q):
     """Z/4 is not a field, and 17 overflows a packed coefficient."""
-    with pytest.raises(Unsupported, match=rf"^closed subspaces at q={q}: q must be a prime in "
+    with pytest.raises(Unsupported, match=rf"^closed subspaces at q={q}: counting supports q in "
                                           r"\(2, 3, 5, 7, 11, 13\)$"):
         enumerate_closed_subspaces(truncated_algebra("node", 2), q, 2)
 
@@ -573,7 +585,7 @@ def test_unsupported_punctual_parameters():
     with pytest.raises(Unsupported):
         count_punctual_ideals("cusp", 2, 2)
     with pytest.raises(Unsupported):
-        count_punctual_ideals("node", 2, 5)
+        count_punctual_ideals("node", 2, 4)
     with pytest.raises(Unsupported):
         count_punctual_ideals("node", 7, 2)
 
@@ -621,15 +633,15 @@ def test_bridges():
 
 
 def test_bridges_at_an_unsupported_q_skip():
-    """Every counter declines q = 5, so every bridge is a skipped row with
+    """Every counter declines q = 6, so every bridge is a skipped row with
     its reason; none raises."""
-    results = bridge_check_all([5])
+    results = bridge_check_all([6])
     assert len(results) == 16
     assert all(r.status == "skip" and r.count is None and r.reason for r in results)
-    assert run_bridge(BRIDGES["hilb1"], 5).reason == (
-        "field order 5 not supported (need one of [2, 3, 4, 9])")
-    assert run_bridge(BRIDGES["gr(2,4)"], 5).reason == (
-        "gr(2,4) at q=5: counting supports q in (2, 3, 4)")
+    assert run_bridge(BRIDGES["hilb1"], 6).reason == (
+        "plane points at q=6: counting supports q in (2, 3, 4, 9)")
+    assert run_bridge(BRIDGES["gr(2,4)"], 6).reason == (
+        "gr(2,4) at q=6: counting supports q in (2, 3, 4)")
 
 
 def test_bridge_check_all_passes(bridges_q23):
