@@ -12,7 +12,8 @@ Every document is written here, from the data that :mod:`.strata` and
 :func:`csv_table` and markdown tables by :func:`markdown_table`.  Each
 ``cmd_*`` function returns its document and exit status; :func:`main`
 writes every document, to the ``-o`` path or standard output, and returns
-every exit status.
+every exit status.  The parser is built on the first :func:`main` call and
+reused by every later one in the process.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from .atoms import Unsupported
 from .dsl import MAX_INT_DIGITS, ArityError, ParseError, evaluate
@@ -314,7 +316,10 @@ def cmd_report(args) -> tuple[str, int]:
     return document, 0 if ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared by later
+    ones: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="motivecount",
         description="Exact motive classes of one-dimensional plane-sheaf moduli, "
@@ -348,35 +353,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _int_str_limit_lifted():
+    """Lift the interpreter's int-to-str limit (PYTHONINTMAXSTRDIGITS) and
+    restore the caller's value on leaving, however the block ends."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     # every integer is read with at most MAX_INT_DIGITS digits, so an int-to-str
-    # limit (PYTHONINTMAXSTRDIGITS) would only stop an answer, say Gr(2,6) at q, printing
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
-    try:
-        if args.output is None and sys.stdout is None:  # started with stdout closed
-            raise OSError("standard output is closed")
-        # opened first, as by the shell's >: a command that then fails leaves it empty
-        with (contextlib.nullcontext(sys.stdout) if args.output is None
-              else open(args.output, "w", encoding="utf-8")) as out:
-            document, status = args.func(args)
-            out.write(document)
-        return status
-    except ParseError as exc:
-        message = (f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "
-                   f"found {exc.found}")
-    except ArityError as exc:
-        message = f"ArityError: {exc}"
-    except (Unsupported, NotEffective, UsageError, OSError) as exc:
-        message = f"error: {exc}"
-    except RecursionError:
-        message = "error: expression nested too deeply"
-    try:
-        print(message, file=sys.stderr)
-    except OSError:  # standard error is closed too
-        pass
-    return 2
+    # limit would only stop an answer, say Gr(2,6) at q, printing
+    with _int_str_limit_lifted():
+        args = build_parser().parse_args(argv)
+        try:
+            if args.output is None and sys.stdout is None:  # started with stdout closed
+                raise OSError("standard output is closed")
+            # opened first, as by the shell's >: a command that then fails leaves it empty
+            with (contextlib.nullcontext(sys.stdout) if args.output is None
+                  else open(args.output, "w", encoding="utf-8")) as out:
+                document, status = args.func(args)
+                out.write(document)
+            return status
+        except ParseError as exc:
+            message = (f"SyntaxError at offset {exc.offset}: expected {', '.join(exc.expected)}, "
+                       f"found {exc.found}")
+        except ArityError as exc:
+            message = f"ArityError: {exc}"
+        except (Unsupported, NotEffective, UsageError, OSError) as exc:
+            message = f"error: {exc}"
+        except RecursionError:
+            message = "error: expression nested too deeply"
+        try:
+            print(message, file=sys.stderr)
+        except OSError:  # standard error is closed too
+            pass
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,12 +16,16 @@ value.  Equality and inequality are both recorded, never patched: the
 sub-stratum bookkeeping is knowingly ambiguous (see README) and the main
 verification path never depends on it.
 
-The reports are data: :mod:`.cli` writes every document from them.
+The reports are data: :mod:`.cli` writes every document from them.  They
+depend only on the fixed registry, so each target's report and the
+consistency report are assembled once per process and shared by every
+later call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .atoms import omega_locus, projective
 from .dsl import evaluate
@@ -191,6 +195,7 @@ class VerificationReport:
         return all(self.flags.values())
 
 
+@lru_cache(maxsize=None)
 def assemble(target: str) -> VerificationReport:
     """Sum the registered strata of a target."""
     strata = tuple((sid, evaluate(formula)) for sid, _, formula in STRATA[target])
@@ -229,6 +234,7 @@ class ConsistencyReport:
         return self.assembled == self.stated
 
 
+@lru_cache(maxsize=None)
 def omega26_assembled() -> ConsistencyReport:
     """Rebuild the conic-locus class from its sub-strata.
 

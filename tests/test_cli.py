@@ -4,7 +4,9 @@ import errno
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,8 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import motivecount
 from motivecount.atoms import grassmannian
-from motivecount.cli import main
+from motivecount.cli import build_parser, main
 from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, Sum, format_expr, parse
 
 
@@ -22,6 +25,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unlimited_str(n: int) -> str:
+    """str(n), with the interpreter's int-to-str limit lifted for the call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_eval_point(capsys):
@@ -240,7 +255,10 @@ def test_eval_under_a_low_int_string_limit(capsys):
     sys.set_int_max_str_digits(640)
     try:
         literal_run = run(capsys, "eval", literal)
+        # main lifts the limit only while it runs
+        assert sys.get_int_max_str_digits() == 640
         sym_run = run(capsys, "eval", "Sym 200(1872486*P1)", "--format", "json")
+        assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(old)
     code, out, err = literal_run
@@ -427,6 +445,41 @@ def test_usage_lists_output_last(capsys, monkeypatch, command, usage):
     assert capsys.readouterr().out.splitlines()[0] == f"usage: motivecount {command} {usage}"
 
 
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_import_builds_no_parser():
+    """Importing the command line builds nothing: the parser waits for the
+    first main call."""
+    package_root = Path(motivecount.__file__).resolve().parents[1]
+    probe = "import motivecount.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(package_root)}, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    """A usage error or --help leaves the shared parser as it was: the same
+    command prints the same bytes as on the call that built the parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser.cache_clear()
+    first = run(capsys, "eval", "P2", "--format", "json")
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "P2", "--format", "yaml"])
+    assert err.value.code == 2 and capsys.readouterr().out == ""
+    assert run(capsys, "eval", "P2", "--format", "json") == first
+
+    build_parser.cache_clear()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--help"])
+        assert err.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: motivecount eval ")
+
+
 def test_oracle_gr(capsys):
     code, out, _ = run(capsys, "oracle", "--check", "gr", "--q", "2")
     assert code == 0
@@ -518,7 +571,7 @@ def test_oracle_bad_q(capsys):
     # a q of 1000 digits is read, and Gr(2,6) evaluated at it, of about
     # 8000 digits, prints whatever the interpreter's int-to-str limit
     code, out, _ = run(capsys, "oracle", "--check", "gr", "--q", "9" * 1000)
-    assert code == 0 and str(grassmannian(2, 6).evaluate(10 ** 1000 - 1)) in out
+    assert code == 0 and unlimited_str(grassmannian(2, 6).evaluate(10 ** 1000 - 1)) in out
     # an empty item is an error, not skipped, and an integer is ASCII digits
     # only: no other script's digits, sign, space or other notation
     for qs in ("2,,3", "2,", ",2", "", "\u0663", "2,\u0663", "+3", "-3", " 3", "3 ", "0x3",

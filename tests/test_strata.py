@@ -116,6 +116,21 @@ def test_assemble_unknown_target(target):
         assemble(target)
 
 
+@pytest.mark.parametrize("target", TARGETS)
+def test_assemble_cached(target):
+    """A target's report is assembled once and shared; it equals a fresh one."""
+    assert assemble(target) is assemble(target)
+    assert assemble(target) == assemble.__wrapped__(target)
+
+
+def test_reports_cached():
+    assert omega26_assembled() is omega26_assembled()
+    assert omega26_assembled() == omega26_assembled.__wrapped__()
+    (reports, omega26), (again, omega26_again) = verify_all(), verify_all()
+    assert len(reports) == len(again) == len(TARGETS)
+    assert all(r is s for r, s in zip(reports, again)) and omega26 is omega26_again
+
+
 def test_omega26_consistency_frozen_values():
     report = omega26_assembled()
     by_n = {d.n: d for d in report.divisions}
