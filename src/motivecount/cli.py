@@ -54,6 +54,10 @@ class UsageError(Exception):
     pass
 
 
+#: most field sizes one --q list may name; each adds a row per counter
+MAX_Q_ITEMS = 100
+
+
 def integer(text: str) -> int:
     """An integer as the expression language reads one: at most MAX_INT_DIGITS ASCII digits."""
     if not (text.isascii() and text.isdigit()) or len(text) > MAX_INT_DIGITS:
@@ -62,11 +66,14 @@ def integer(text: str) -> int:
 
 
 def _parse_qlist(raw: str) -> list[int]:
+    parts = raw.split(",")
+    if len(parts) > MAX_Q_ITEMS:
+        raise UsageError(f"at most {MAX_Q_ITEMS} field sizes in a q list, got {len(parts)}")
     try:
-        qs = [integer(part) for part in raw.split(",")]
+        qs = [integer(part) for part in parts]
     except ValueError:
         raise UsageError(f"bad q list {raw!r}")
-    seen = set()  # a list of distinct sizes may be long
+    seen = set()
     for q in qs:
         if q in seen:
             raise UsageError(f"q {q} repeated in {raw!r}")

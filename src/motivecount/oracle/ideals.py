@@ -21,7 +21,6 @@ are equal.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -191,25 +190,21 @@ def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
                for _, v in rows for m in maps)
 
 
-def reduced_echelon_forms(k: int, n: int, q: int, columns: Sequence[int] | None = None):
+def reduced_echelon_forms(k: int, n: int, q: int):
     """Yield every reduced echelon form of a k x n matrix of rank k over
     F_q, one per k-dimensional subspace, as a tuple of k packed rows.
-    Given ``columns``, sorted indices into vectors of length n, yield
-    instead the forms of the subspaces of the coordinate subspace on those
-    columns: the rows are zero elsewhere.
 
     For a fixed pivot set each row varies independently over its free
     cells, so the forms are the product of per-row choices, each packed
     once per pivot set; row 0 varies slowest and the last free cell
     fastest."""
-    cols = range(n) if columns is None else columns
-    for pivots in combinations(range(len(cols)), k):
+    for pivots in combinations(range(n), k):
         choices = []
         for p in pivots:
-            options = [1 << 8 * cols[p]]
-            for j in range(p + 1, len(cols)):
+            options = [1 << 8 * p]
+            for j in range(p + 1, n):
                 if j not in pivots:
-                    options = [x + (c << 8 * cols[j]) for x in options for c in range(q)]
+                    options = [x + (c << 8 * j) for x in options for c in range(q)]
             choices.append(options)
         yield from product(*choices)
 
@@ -244,13 +239,20 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
 
     Exhaustive reference used to certify that two generators reach every
     ideal.  A colength-c ideal contains every monomial of degree >= c and
-    lies inside the maximal ideal, so only the middle degrees vary; their
-    subspaces are swept in reduced-echelon-form order, each form already
-    placed in the middle-degree columns.  The x- and y-multiples of a
-    forced monomial have degree > c, so they are forced too: only the
-    form's rows are tested for closure.  Feasible for small cases only:
-    colength 5 at q = 2 sweeps 200,787 forms in about 0.9 s, while colength 6
-    sweeps 1.1 x 10^8 and still takes minutes.
+    lies inside the maximal ideal, so only the middle degrees, the free
+    region, vary.  For each pivot set in the free region the reduced
+    echelon forms are searched depth first, row by row from the largest
+    pivot down: a row at pivot p is e_p plus every assignment of its free
+    cells, the non-pivot free-region columns after p.  A row is kept only
+    if its x- and y-multiples, masked to the free region, lie in the span
+    of the rows already chosen; the mask stands in for the forced monomial
+    rows, which are closed because their multiples have degree > c.  The
+    pruning is sound because multiplication by x or y sends each index to
+    a larger one: the multiples of a row at pivot p are zero at every
+    column up to p, so they reduce only against the rows of larger pivot,
+    and a partial form that fails the test cannot be completed to a
+    closed subspace.  Every free cell of every surviving row is still
+    tried, with no linear solve.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -263,12 +265,25 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
         return found
     units = [_identity_rows(dim)[i] for i in forced]
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
-    for form in reduced_echelon_forms(extra_dim, dim, q, free_region):
-        # the form's rows and the forced unit rows have disjoint supports,
-        # so together they are already a reduced echelon basis, which
-        # reduces a vector the same in any row order
-        rows = units + [(pivot(v), v) for v in form]
-        if all(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) is None
-               for v in form for m in maps):
-            found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
+    free_mask = sum(255 << 8 * i for i in free_region)
+
+    def extend(rows: list[Row], pivots: tuple[int, ...], k: int) -> None:
+        # rows holds the chosen rows for pivots[k:]; choose the row at pivots[k - 1]
+        if not k:
+            # the rows and the forced unit rows have disjoint supports, so
+            # together they are a reduced echelon basis
+            found.add(tuple(unpack(v, dim) for _, v in sorted(units + rows)))
+            return
+        p = pivots[k - 1]
+        options = [1 << 8 * p]
+        for j in free_region:
+            if j > p and j not in pivots:
+                options = [x + (c << 8 * j) for x in options for c in range(q)]
+        for v in options:
+            if all(echelon_reduce(rows, vec_mul_monomial(v, m) & free_mask, q, dim) is None
+                   for m in maps):
+                extend(rows + [(p, v)], pivots, k - 1)
+
+    for pivots in combinations(free_region, extra_dim):
+        extend([], pivots, extra_dim)
     return found

@@ -578,6 +578,11 @@ def test_oracle_bad_q(capsys):
                "3.0", "3_0", "9" * 1001):
         code, out, err = run(capsys, "oracle", "--check", "gr", "--q", qs)
         assert (code, out, err) == (2, "", f"error: bad q list {qs!r}\n")
+    # at most MAX_Q_ITEMS field sizes: 100 are counted, 101 exit 2
+    code, out, _ = run(capsys, "oracle", "--check", "gr", "--q", ",".join(map(str, range(5, 105))))
+    assert code == 0 and len(out.splitlines()) == 1 + 5 * 100
+    code, out, err = run(capsys, "oracle", "--check", "gr", "--q", ",".join(map(str, range(5, 106))))
+    assert (code, out, err) == (2, "", "error: at most 100 field sizes in a q list, got 101\n")
 
 
 @pytest.mark.parametrize("check,qs,repeated", [("gr", "2,2", 2), ("punctual", "3,3", 3),
@@ -589,13 +594,13 @@ def test_oracle_repeated_q_exits_2(capsys, check, qs, repeated):
 
 
 def test_oracle_long_q_list_is_read_fast(capsys):
-    """Any field size reaches the counters, so a list may hold thousands of
-    distinct ones; a repeat at its end is still found within a second."""
+    """A list of thousands of field sizes, with a repeat at its end, is
+    refused for its length within a second, before any item is read."""
     qs = ",".join(map(str, range(10000, 30000))) + ",10000"
     start = time.perf_counter()
     code, out, err = run(capsys, "oracle", "--check", "gr", "--q", qs)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (2, "", f"error: q 10000 repeated in {qs!r}\n")
+    assert (code, out, err) == (2, "", "error: at most 100 field sizes in a q list, got 20001\n")
 
 
 @pytest.mark.parametrize("check", ["gr", "punctual", "hilb2", "bridges"])

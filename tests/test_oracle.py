@@ -46,10 +46,9 @@ def _basis(rows, dim):
     return tuple(unpack(v, dim) for _, v in rows)
 
 
-def _unpacked_forms(k, n, q, columns=None):
+def _unpacked_forms(k, n, q):
     """reduced_echelon_forms with each packed row read back as a tuple."""
-    return [tuple(unpack(row, n) for row in form)
-            for form in reduced_echelon_forms(k, n, q, columns)]
+    return [tuple(unpack(row, n) for row in form) for form in reduced_echelon_forms(k, n, q)]
 
 
 def _closed_record(generators, alg, q) -> IdealRecord:
@@ -114,21 +113,6 @@ def test_reduced_echelon_forms_order(q):
     for n in range(6 if q < 4 else 5):
         for k in range(n + 1):
             assert _unpacked_forms(k, n, q) == list(_nested_loop_forms(k, n, q))
-
-
-@pytest.mark.parametrize("columns,width", [((0, 2, 3), 5), ((1, 2, 4, 6), 7), ((), 2)])
-def test_reduced_echelon_forms_placed_in_columns(columns, width):
-    def embed(row):
-        out = [0] * width
-        for col, c in zip(columns, row):
-            out[col] = c
-        return tuple(out)
-
-    for q in (2, 3):
-        for k in range(len(columns) + 1):
-            placed = _unpacked_forms(k, width, q, columns)
-            assert placed == [tuple(embed(row) for row in form)
-                              for form in _unpacked_forms(k, len(columns), q)]
 
 
 def test_count_grassmannian_values():
@@ -290,7 +274,7 @@ def test_two_generator_assumption_exhaustive():
     generator assumption, at both field sizes, and for the defect-critical
     cell."""
     cells = {
-        2: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4, 5)],
+        2: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4, 5, 6)],
         3: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4)],
     }
     for q, q_cells in cells.items():
@@ -301,10 +285,10 @@ def test_two_generator_assumption_exhaustive():
             assert exhaustive == reachable, (curve, c, q)
 
 
-@pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2), (5, 2)])
 def test_closed_subspaces_match_every_subspace_tested(q, maxc):
-    """The sweep, which varies only the middle degrees and tests only their
-    rows, finds the same subspaces as testing every subspace of the right
+    """The search, which varies only the middle degrees and prunes row by
+    row, finds the same subspaces as testing every subspace of the right
     dimension for closure."""
     for curve in CURVES:
         for c in range(1, maxc + 1):
@@ -313,6 +297,25 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
                          for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
                          if is_closed([(pivot(v), v) for v in form], alg, q)}
             assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
+
+
+def test_closed_subspaces_beyond_the_engine():
+    """Counts from the exhaustive search alone, up to cells the punctual
+    engine's sweep limit declines.  Each equals the row sum at L = q,
+    except ribbon colength 5, where the search finds q^2 + q + 1 ideals
+    against the tabulated 2q^2 + 1."""
+    cells = [(3, 5), (3, 6)] + [(q, c) for q, maxc in ((5, 5), (7, 4), (11, 3), (13, 3))
+                                for c in range(1, maxc + 1)]
+    counts = {(curve, q, c): len(enumerate_closed_subspaces(truncated_algebra(curve, c), q, c))
+              for curve in CURVES for q, c in cells}
+    assert [counts["ribbon", 3, c] for c in (5, 6)] == [13, 40]
+    assert [counts["node", 3, c] for c in (5, 6)] == [13, 16]
+    for (curve, q, c), count in counts.items():
+        if (curve, c) == ("ribbon", 5):
+            assert count == q * q + q + 1, q
+            assert expected_class(curve, c).evaluate(q) == 2 * q * q + 1, q
+        else:
+            assert count == expected_class(curve, c).evaluate(q), (curve, q, c)
 
 
 @pytest.mark.parametrize("q", [4, 17])
