@@ -12,8 +12,11 @@ Every document is written here, from the data that :mod:`.strata` and
 :func:`csv_table` and markdown tables by :func:`markdown_table`.  Each
 ``cmd_*`` function returns its document and exit status; :func:`main`
 writes every document, to the ``-o`` path or standard output, and returns
-every exit status.  The parser is built on the first :func:`main` call and
-reused by every later one in the process.
+every exit status but a usage error's.  The parser checks every argument,
+each ``oracle`` option included, and a usage error leaves through
+argparse's ``SystemExit(2)`` before any file is opened.  The parser is
+built on the first :func:`main` call and reused by every later one in the
+process.
 """
 
 from __future__ import annotations
@@ -50,10 +53,6 @@ from .strata import (
 VERIFY_TARGETS = TARGETS + ("omega26", "all")
 
 
-class UsageError(Exception):
-    pass
-
-
 #: most field sizes one --q list may name; each adds a row per counter
 MAX_Q_ITEMS = 100
 
@@ -66,17 +65,19 @@ def integer(text: str) -> int:
 
 
 def _parse_qlist(raw: str) -> list[int]:
+    """The field sizes of a --q list, as the parser reads the option."""
     parts = raw.split(",")
     if len(parts) > MAX_Q_ITEMS:
-        raise UsageError(f"at most {MAX_Q_ITEMS} field sizes in a q list, got {len(parts)}")
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_Q_ITEMS} field sizes in a q list, got {len(parts)}")
     try:
         qs = [integer(part) for part in parts]
     except ValueError:
-        raise UsageError(f"bad q list {raw!r}")
+        raise argparse.ArgumentTypeError(f"bad q list {raw!r}")
     seen = set()
     for q in qs:
         if q in seen:
-            raise UsageError(f"q {q} repeated in {raw!r}")
+            raise argparse.ArgumentTypeError(f"q {q} repeated in {raw!r}")
         seen.add(q)
     return qs
 
@@ -288,19 +289,16 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_oracle(args) -> tuple[str, int]:
-    qs = _parse_qlist(args.q)
-    if not 1 <= args.max_colength <= MAX_COLENGTH:
-        raise UsageError(f"max-colength must be in 1..{MAX_COLENGTH}")
     if args.check == "punctual":
         results = []
         for curve in CURVES:
             for c in range(1, args.max_colength + 1):
-                for q in qs:
+                for q in args.q:
                     print(f"counting {curve} colength {c} at q={q} ...", file=sys.stderr)
                     results.append(count_punctual_total_vs_table(curve, c, q))
     else:  # every bridge, or one counter's: gr or hilb2
         results = [run_bridge(b, q) for b in BRIDGES.values()
-                   if args.check in ("bridges", b.counter) for q in qs]
+                   if args.check in ("bridges", b.counter) for q in args.q]
     for r in results:
         if r.skipped:
             print(f"skip {r.reason}", file=sys.stderr)
@@ -346,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="finite-field counting checks")
     p_oracle.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"),
                           required=True)
-    p_oracle.add_argument("--q", default="2,3", help="comma-separated field sizes")
-    p_oracle.add_argument("--max-colength", type=integer, default=MAX_COLENGTH)
+    p_oracle.add_argument("--q", type=_parse_qlist, default="2,3",
+                          help="comma-separated field sizes")
+    p_oracle.add_argument("--max-colength", type=integer, default=MAX_COLENGTH,
+                          choices=range(1, MAX_COLENGTH + 1), metavar="MAX_COLENGTH")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_report = sub.add_parser("report", help="verification plus oracle summary")
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
                        f"found {exc.found}")
         except ArityError as exc:
             message = f"ArityError: {exc}"
-        except (Unsupported, NotEffective, UsageError, OSError) as exc:
+        except (Unsupported, NotEffective, OSError) as exc:
             message = f"error: {exc}"
         except RecursionError:
             message = "error: expression nested too deeply"

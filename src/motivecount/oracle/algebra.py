@@ -16,7 +16,6 @@ echelon forms depend on it):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..atoms import Unsupported
 
@@ -35,7 +34,6 @@ class LocalAlgebra:
     dim: int  # len(monomials), stored: the oracle's inner loops read it
 
 
-@lru_cache(maxsize=None)
 def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
     if curve not in CURVES:
         raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")

@@ -190,22 +190,32 @@ def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
                for _, v in rows for m in maps)
 
 
+def echelon_cells(k: int, columns, q: int):
+    """Yield each pivot set of k of the given columns, a sequence in
+    ascending order, with every row's possible packed vectors over F_q: the
+    row at pivot p is e_p plus every assignment of the non-pivot columns
+    after p.  Each row's choices are packed once per pivot set; the last
+    free cell varies fastest."""
+    for pivots in combinations(columns, k):
+        choices = []
+        for p in pivots:
+            options = [1 << 8 * p]
+            for j in columns:
+                if j > p and j not in pivots:
+                    options = [x + (c << 8 * j) for x in options for c in range(q)]
+            choices.append(options)
+        yield pivots, choices
+
+
 def reduced_echelon_forms(k: int, n: int, q: int):
     """Yield every reduced echelon form of a k x n matrix of rank k over
     F_q, one per k-dimensional subspace, as a tuple of k packed rows.
 
     For a fixed pivot set each row varies independently over its free
-    cells, so the forms are the product of per-row choices, each packed
-    once per pivot set; row 0 varies slowest and the last free cell
+    cells, so the forms are the product of the rows' choices from
+    :func:`echelon_cells`; row 0 varies slowest and the last free cell
     fastest."""
-    for pivots in combinations(range(n), k):
-        choices = []
-        for p in pivots:
-            options = [1 << 8 * p]
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    options = [x + (c << 8 * j) for x in options for c in range(q)]
-            choices.append(options)
+    for _, choices in echelon_cells(k, range(n), q):
         yield from product(*choices)
 
 
@@ -239,20 +249,18 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
 
     Exhaustive reference used to certify that two generators reach every
     ideal.  A colength-c ideal contains every monomial of degree >= c and
-    lies inside the maximal ideal, so only the middle degrees, the free
-    region, vary.  For each pivot set in the free region the reduced
-    echelon forms are searched depth first, row by row from the largest
-    pivot down: a row at pivot p is e_p plus every assignment of its free
-    cells, the non-pivot free-region columns after p.  A row is kept only
-    if its x- and y-multiples, masked to the free region, lie in the span
-    of the rows already chosen; the mask stands in for the forced monomial
-    rows, which are closed because their multiples have degree > c.  The
-    pruning is sound because multiplication by x or y sends each index to
-    a larger one: the multiples of a row at pivot p are zero at every
-    column up to p, so they reduce only against the rows of larger pivot,
-    and a partial form that fails the test cannot be completed to a
-    closed subspace.  Every free cell of every surviving row is still
-    tried, with no linear solve.
+    lies inside the maximal ideal, so its basis holds those forced unit
+    rows and only the middle degrees, the free region, vary.  For each
+    pivot set in the free region the rows of :func:`echelon_cells` are
+    searched depth first, from the largest pivot down, starting from the
+    forced rows: a row is kept only if its x- and y-multiples reduce to
+    zero against the rows already held, the test :func:`is_closed` applies
+    to each row.  Multiplication by x or y sends each index to a larger
+    one, never to index 0, so the multiples of a row at pivot p are zero
+    at every column up to p: they reduce only against the forced rows and
+    the rows of larger pivot, and a partial form that fails the test
+    cannot be completed to a closed subspace.  Every free cell of every
+    surviving row is still tried, with no linear solve.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -265,25 +273,17 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
         return found
     units = [_identity_rows(dim)[i] for i in forced]
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
-    free_mask = sum(255 << 8 * i for i in free_region)
 
-    def extend(rows: list[Row], pivots: tuple[int, ...], k: int) -> None:
-        # rows holds the chosen rows for pivots[k:]; choose the row at pivots[k - 1]
+    def extend(rows: list[Row], pivots: tuple[int, ...], choices: list[list[int]], k: int) -> None:
+        # rows holds the forced rows and the rows chosen at pivots[k:], a
+        # reduced echelon basis; choose the row at pivots[k - 1]
         if not k:
-            # the rows and the forced unit rows have disjoint supports, so
-            # together they are a reduced echelon basis
-            found.add(tuple(unpack(v, dim) for _, v in sorted(units + rows)))
+            found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
             return
-        p = pivots[k - 1]
-        options = [1 << 8 * p]
-        for j in free_region:
-            if j > p and j not in pivots:
-                options = [x + (c << 8 * j) for x in options for c in range(q)]
-        for v in options:
-            if all(echelon_reduce(rows, vec_mul_monomial(v, m) & free_mask, q, dim) is None
-                   for m in maps):
-                extend(rows + [(p, v)], pivots, k - 1)
+        for v in choices[k - 1]:
+            if all(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) is None for m in maps):
+                extend(rows + [(pivots[k - 1], v)], pivots, choices, k - 1)
 
-    for pivots in combinations(free_region, extra_dim):
-        extend([], pivots, extra_dim)
+    for pivots, choices in echelon_cells(extra_dim, free_region, q):
+        extend(units, pivots, choices, extra_dim)
     return found

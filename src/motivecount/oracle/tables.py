@@ -20,8 +20,6 @@ subspace sweep in the tests certifies.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..dsl import evaluate
 from ..motive import ZERO, MotiveClass
 from .algebra import NODE, RIBBON
@@ -75,7 +73,6 @@ ROWS = {
 MAX_COLENGTH = 6
 
 
-@lru_cache(maxsize=None)
 def expected_class(curve: str, colength: int) -> MotiveClass:
     """Row-sum class of a colength: the tabulated count as a polynomial in L."""
     params = [p for c, _, p in ROWS.get(curve, ()) if c == colength]

@@ -318,6 +318,20 @@ def test_closed_subspaces_beyond_the_engine():
             assert count == expected_class(curve, c).evaluate(q), (curve, q, c)
 
 
+def test_closed_subspaces_do_not_depend_on_the_truncation():
+    """An ideal of colength c contains every monomial of degree >= c, so
+    truncating deeper than c loses nothing and adds nothing: the search
+    finds as many ideals in the colength-C algebra as in the colength-c one,
+    and its forced rows then reach degrees above c."""
+    for curve in CURVES:
+        for q in (2, 3):
+            for c in range(1, 6):
+                count = len(enumerate_closed_subspaces(truncated_algebra(curve, c), q, c))
+                for big in range(c + 1, 7):
+                    deeper = enumerate_closed_subspaces(truncated_algebra(curve, big), q, c)
+                    assert len(deeper) == count, (curve, q, c, big)
+
+
 @pytest.mark.parametrize("q", [4, 17])
 def test_closed_subspaces_need_a_prime_the_kernel_supports(q):
     """Z/4 is not a field, and 17 overflows a packed coefficient."""
