@@ -342,12 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="finite-field counting checks")
-    p_oracle.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"),
-                          required=True)
+    p_oracle.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"), required=True,
+                          help="punctual: each germ's ideal counts against the row sums; "
+                               "gr, hilb2: that counter's bridges; bridges: every bridge")
     p_oracle.add_argument("--q", type=_parse_qlist, default="2,3",
                           help="comma-separated field sizes")
     p_oracle.add_argument("--max-colength", type=integer, default=MAX_COLENGTH,
-                          choices=range(1, MAX_COLENGTH + 1), metavar="MAX_COLENGTH")
+                          choices=range(1, MAX_COLENGTH + 1), metavar="MAX_COLENGTH",
+                          help=f"count colengths 1 to MAX_COLENGTH, in 1..{MAX_COLENGTH} "
+                               f"(default {MAX_COLENGTH}); only --check punctual reads it")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_report = sub.add_parser("report", help="verification plus oracle summary")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     # declared last, so each command's usage and help list it after the
     # command's own options
     for command in sub.choices.values():
-        command.add_argument("-o", "--output", default=None)
+        command.add_argument("-o", "--output", help="write the output to this file, not stdout")
     return parser
 
 

@@ -165,7 +165,9 @@ def count_punctual_total_vs_table(curve: str, colength: int, q: int) -> FqCountR
     return run_bridge(_punctual_bridge(curve, colength), q)
 
 
-#: colengths cheap enough for the quick bridge sweep at q in {2, 3}
+#: largest punctual bridge colength: at 5 the ribbon row sum over-counts
+#: (README caveat 2), so ``report`` and ``oracle --check bridges`` would
+#: exit 1; and at q=3, colengths 5 and 6 are over :data:`MAX_SWEEP`
 PUNCTUAL_BRIDGE_MAX_COLENGTH = 4
 
 #: every registered class-vs-count comparison, by name

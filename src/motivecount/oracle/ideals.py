@@ -190,33 +190,28 @@ def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
                for _, v in rows for m in maps)
 
 
-def echelon_cells(k: int, columns, q: int):
-    """Yield each pivot set of k of the given columns, a sequence in
-    ascending order, with every row's possible packed vectors over F_q: the
-    row at pivot p is e_p plus every assignment of the non-pivot columns
-    after p.  Each row's choices are packed once per pivot set; the last
-    free cell varies fastest."""
-    for pivots in combinations(columns, k):
-        choices = []
-        for p in pivots:
-            options = [1 << 8 * p]
-            for j in columns:
-                if j > p and j not in pivots:
-                    options = [x + (c << 8 * j) for x in options for c in range(q)]
-            choices.append(options)
-        yield pivots, choices
+def row_choices(p: int, pivots, columns, q: int) -> list[int]:
+    """Every packed row at pivot p of a reduced echelon form over F_q whose
+    columns are the given ascending sequence: e_p plus every assignment of
+    the columns after p that are not in pivots.  Only the pivots after p
+    matter; the last free cell varies fastest."""
+    options = [1 << 8 * p]
+    for j in columns:
+        if j > p and j not in pivots:
+            options = [x + (c << 8 * j) for x in options for c in range(q)]
+    return options
 
 
 def reduced_echelon_forms(k: int, n: int, q: int):
     """Yield every reduced echelon form of a k x n matrix of rank k over
     F_q, one per k-dimensional subspace, as a tuple of k packed rows.
 
-    For a fixed pivot set each row varies independently over its free
-    cells, so the forms are the product of the rows' choices from
-    :func:`echelon_cells`; row 0 varies slowest and the last free cell
-    fastest."""
-    for _, choices in echelon_cells(k, range(n), q):
-        yield from product(*choices)
+    For a fixed pivot set each row varies independently over its
+    :func:`row_choices`, so the forms are their product; pivot sets come
+    in :func:`itertools.combinations` order, row 0 varies slowest and the
+    last free cell fastest."""
+    for pivots in combinations(range(n), k):
+        yield from product(*(row_choices(p, pivots, range(n), q) for p in pivots))
 
 
 @dataclass(frozen=True)
@@ -250,17 +245,17 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     Exhaustive reference used to certify that two generators reach every
     ideal.  A colength-c ideal contains every monomial of degree >= c and
     lies inside the maximal ideal, so its basis holds those forced unit
-    rows and only the middle degrees, the free region, vary.  For each
-    pivot set in the free region the rows of :func:`echelon_cells` are
-    searched depth first, from the largest pivot down, starting from the
-    forced rows: a row is kept only if its x- and y-multiples reduce to
-    zero against the rows already held, the test :func:`is_closed` applies
-    to each row.  Multiplication by x or y sends each index to a larger
-    one, never to index 0, so the multiples of a row at pivot p are zero
-    at every column up to p: they reduce only against the forced rows and
-    the rows of larger pivot, and a partial form that fails the test
-    cannot be completed to a closed subspace.  Every free cell of every
-    surviving row is still tried, with no linear solve.
+    rows and only the middle degrees, the free region, vary.  From the
+    forced rows the search chooses each further pivot p, largest first,
+    with its row among the :func:`row_choices` given the pivots chosen so
+    far, and keeps the row only if its x- and y-multiples reduce to zero
+    against the rows held, the test :func:`is_closed` applies to each row.
+    Multiplication by x or y sends each index to a larger one, never to
+    index 0, so the multiples of a row at pivot p are zero at every column
+    up to p: they reduce only against the forced rows and the rows of
+    larger pivot, and a partial form that fails the test cannot be
+    completed to a closed subspace.  Every free cell of every row tried is
+    still tried, with no linear solve.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -269,21 +264,19 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
     extra_dim = (dim - colength) - len(forced)
     found: set[tuple[Vector, ...]] = set()
-    if extra_dim < 0:
-        return found
-    units = [_identity_rows(dim)[i] for i in forced]
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
 
-    def extend(rows: list[Row], pivots: tuple[int, ...], choices: list[list[int]], k: int) -> None:
-        # rows holds the forced rows and the rows chosen at pivots[k:], a
-        # reduced echelon basis; choose the row at pivots[k - 1]
+    def extend(rows: list[Row], pivots: tuple[int, ...], k: int, top: int) -> None:
+        # rows holds the forced rows and the rows chosen at pivots, a reduced
+        # echelon basis; choose k more rows, pivots from free_region[:top]
         if not k:
             found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
             return
-        for v in choices[k - 1]:
-            if all(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) is None for m in maps):
-                extend(rows + [(pivots[k - 1], v)], pivots, choices, k - 1)
+        for t, p in enumerate(free_region[k - 1:top], k - 1):
+            for v in row_choices(p, pivots, free_region, q):
+                if not any(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) for m in maps):
+                    extend(rows + [(p, v)], pivots + (p,), k - 1, t)
 
-    for pivots, choices in echelon_cells(extra_dim, free_region, q):
-        extend(units, pivots, choices, extra_dim)
+    if extra_dim >= 0:
+        extend([_identity_rows(dim)[i] for i in forced], (), extra_dim, len(free_region))
     return found

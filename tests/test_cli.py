@@ -453,6 +453,21 @@ def test_usage_lists_output_last(capsys, monkeypatch, command, usage):
     assert capsys.readouterr().out.splitlines()[0] == f"usage: motivecount {command} {usage}"
 
 
+def test_oracle_help_describes_every_option(capsys, monkeypatch):
+    """oracle --help gives each option a help line; --max-colength names its
+    range, which its metavar hides, and the one check that reads it."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--help"])
+    assert err.value.code == 0
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert ("count colengths 1 to MAX_COLENGTH, in 1..6 (default 6); "
+            "only --check punctual reads it") in lines
+    assert "write the output to this file, not stdout" in lines
+    check = lines.index("--check {gr,punctual,hilb2,bridges}")
+    assert lines[check + 1].startswith("punctual: each germ's ideal counts against the row sums")
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 

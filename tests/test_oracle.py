@@ -304,12 +304,14 @@ def test_closed_subspaces_beyond_the_engine():
     engine's sweep limit declines.  Each equals the row sum at L = q,
     except ribbon colength 5, where the search finds q^2 + q + 1 ideals
     against the tabulated 2q^2 + 1."""
-    cells = [(3, 5), (3, 6)] + [(q, c) for q, maxc in ((5, 5), (7, 4), (11, 3), (13, 3))
+    cells = [(3, 5), (3, 6)] + [(q, c) for q, maxc in ((5, 6), (7, 5), (11, 3), (13, 3))
                                 for c in range(1, maxc + 1)]
     counts = {(curve, q, c): len(enumerate_closed_subspaces(truncated_algebra(curve, c), q, c))
               for curve in CURVES for q, c in cells}
     assert [counts["ribbon", 3, c] for c in (5, 6)] == [13, 40]
     assert [counts["node", 3, c] for c in (5, 6)] == [13, 16]
+    assert [counts["ribbon", 5, 6], counts["ribbon", 7, 5]] == [156, 57]
+    assert [counts["node", 5, 6], counts["node", 7, 5]] == [26, 29]
     for (curve, q, c), count in counts.items():
         if (curve, c) == ("ribbon", 5):
             assert count == q * q + q + 1, q
