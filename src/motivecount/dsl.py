@@ -40,9 +40,8 @@ has at most ``MAX_INT_DIGITS`` digits, like an integer literal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import atoms
 from .motive import MotiveClass
@@ -71,47 +70,77 @@ class ArityError(ValueError):
 
 # -- abstract syntax ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """An immutable syntax-tree node whose positional fields are its
+    ``__slots__``.  A node equals only a node of its own class with equal
+    fields, so a Sum is never a Prod and a Lit never a tuple, and hashes
+    over its fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Atom(_Node):
     """A standard variety: its kind in ``ATOMS`` and its parameters."""
 
-    kind: str
-    args: tuple[int, ...]
+    __slots__ = ("kind", "args")  # str, tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Lefschetz:
-    pass
+class Lefschetz(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
     """A chain of '+' and '-': (sign, operand) pairs, the sign 1 or -1 and
     the first sign 1."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
-class Prod:
-    items: tuple
+class Prod(_Node):
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "VarietyExpr"
-    exponent: int
+class Pow(_Node):
+    __slots__ = ("base", "exponent")  # VarietyExpr, int
 
 
-@dataclass(frozen=True)
-class Sym:
-    order: int
-    inner: "VarietyExpr"
+class Sym(_Node):
+    __slots__ = ("order", "inner")  # int, VarietyExpr
 
 
 VarietyExpr = Union[Atom, Lit, Lefschetz, Sum, Prod, Pow, Sym]
@@ -159,8 +188,7 @@ _PRIMARY_START = (("'L'",) + tuple(f"'{word}'" for word in _KEYWORDS)
 _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)|([()+\-*^,])|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'INT', 'WORD', a punctuation character, 'OTHER' or 'EOF'
     text: str
     offset: int

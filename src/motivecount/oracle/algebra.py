@@ -15,7 +15,7 @@ echelon forms depend on it):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..atoms import Unsupported
 
@@ -24,8 +24,7 @@ NODE = "node"
 CURVES = (RIBBON, NODE)
 
 
-@dataclass(frozen=True)
-class LocalAlgebra:
+class LocalAlgebra(NamedTuple):
     curve: str
     colength: int
     monomials: tuple[tuple[int, int], ...]

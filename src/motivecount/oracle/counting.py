@@ -16,10 +16,9 @@ its reason, never as a failure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from ..motive import MotiveClass
@@ -104,8 +103,7 @@ def count_sym2_p2(q: int) -> int:
 
 # -- results and bridges ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(NamedTuple):
     """A brute-force counter paired with the class it certifies: at each q,
     ``count(q)`` must equal ``expected()`` evaluated at L = q."""
 
@@ -115,8 +113,7 @@ class Bridge:
     expected: Callable[[], MotiveClass]
 
 
-@dataclass(frozen=True)
-class FqCountResult:
+class FqCountResult(NamedTuple):
     """Outcome of one oracle comparison: brute-force count vs polynomial.
     A declined count is ``None``, with the reason it was declined."""
 

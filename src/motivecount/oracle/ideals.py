@@ -21,9 +21,9 @@ are equal.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from ..atoms import Unsupported
 from .algebra import LocalAlgebra
@@ -214,8 +214,7 @@ def reduced_echelon_forms(k: int, n: int, q: int):
         yield from product(*(row_choices(p, pivots, range(n), q) for p in pivots))
 
 
-@dataclass(frozen=True)
-class IdealRecord:
+class IdealRecord(NamedTuple):
     """Canonical form of an ideal: reduced echelon basis plus colength."""
 
     basis: tuple[Vector, ...]

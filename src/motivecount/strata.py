@@ -24,8 +24,8 @@ later call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .atoms import omega_locus, projective
 from .dsl import evaluate
@@ -163,8 +163,7 @@ EXPECTED_EULER = {"m11": 3, "m21": 6, "m31": 27, "m41": 192, "m51": 1695, "m52":
 
 # -- verification -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A target's stratum classes and their sum; every check is derived."""
 
     target: str
@@ -204,8 +203,7 @@ def assemble(target: str) -> VerificationReport:
 
 # -- conic-locus consistency ---------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisionOutcome:
+class DivisionOutcome(NamedTuple):
     """Result of dividing a relative-Hilbert-scheme class by its P^n fiber."""
 
     n: int
@@ -218,8 +216,7 @@ class DivisionOutcome:
         return self.quotient is not None
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     parts: tuple[tuple[str, MotiveClass], ...]
     divisions: tuple[DivisionOutcome, ...]
     assembled: MotiveClass

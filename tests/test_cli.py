@@ -482,6 +482,18 @@ def test_import_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+def test_import_leaves_out_dataclasses():
+    """The package defines its records without dataclasses, whose import is
+    most of the package's own import time: a fresh interpreter that imports
+    the package and the command line has not loaded it."""
+    package_root = str(Path(motivecount.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {package_root!r}); "
+             "import motivecount, motivecount.cli; print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
     """A usage error or --help leaves the shared parser as it was: the same
     command prints the same bytes as on the call that built the parser."""

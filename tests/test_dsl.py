@@ -1,5 +1,8 @@
 """Expression language: grammar, errors, evaluation, canonical formatting."""
 
+import pickle
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +66,36 @@ def test_parse_all_primaries():
     assert parse("Omega(2,6)") == Atom("omega_locus", (2, 6))
     assert parse("Sym2(P2)") == Sym(2, Atom("projective", (2,)))
     assert parse("P1^3") == Pow(Atom("projective", (1,)), 3)
+
+
+def test_node_contract():
+    """Nodes are immutable values that compare by class and fields, print
+    their fields by name, and survive pickle and deepcopy."""
+    a, b = Atom("projective", (1,)), Atom("affine", (2,))
+    assert Sum(((1, a), (1, b))) != Prod((Sym(1, a), Sym(1, b)))
+    assert Lit(3) != (3,)
+    assert bool(Lefschetz())
+
+    tree = parse("Sym2(P1 - A2)^3 * (L + 7) - Gr(2,4)")
+    twin = parse("Sym2(P1 - A2)^3 * (L + 7) - Gr(2,4)")
+    assert tree == twin and tree is not twin and hash(tree) == hash(twin)
+    assert len({tree, twin, Lefschetz(), Lefschetz()}) == 2
+    for node, field in ((a, "kind"), (Lit(3), "value"), (tree, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+
+    assert [repr(node) for node in (
+        a, Lit(3), Lefschetz(), Sum(((1, Lit(1)), (-1, Lefschetz()))), Prod((Lit(2), a)),
+        Pow(a, 2), Sym(2, Lefschetz()))] == [
+        "Atom(kind='projective', args=(1,))", "Lit(value=3)", "Lefschetz()",
+        "Sum(terms=((1, Lit(value=1)), (-1, Lefschetz())))",
+        "Prod(items=(Lit(value=2), Atom(kind='projective', args=(1,))))",
+        "Pow(base=Atom(kind='projective', args=(1,)), exponent=2)",
+        "Sym(order=2, inner=Lefschetz())"]
+
+    for copy in (pickle.loads(pickle.dumps(tree)), deepcopy(tree)):
+        assert copy == tree and copy is not tree and format_expr(copy) == format_expr(tree)
+        assert type(copy.terms[0][1]) is Prod
 
 
 @pytest.mark.parametrize("source,offset", [
