@@ -1,8 +1,9 @@
 """Brute-force certification of the polynomial atoms over small finite fields.
 
-Punctual ideals are enumerated by one pure-Python engine
-(:mod:`~motivecount.oracle._pure`) and compared with the row sums of the
-tabulated stratification (:data:`~motivecount.oracle.tables.ROWS`);
+Punctual ideals are enumerated by one search of multiplication-closed
+subspaces (:func:`~motivecount.oracle.ideals.enumerate_closed_subspaces`)
+and compared with the row sums of the tabulated stratification
+(:data:`~motivecount.oracle.tables.ROWS`);
 Grassmannians are counted by their reduced echelon forms
 (:func:`~motivecount.oracle.ideals.reduced_echelon_forms`) and plane points
 by :func:`~motivecount.oracle.counting.projective_plane_count`.

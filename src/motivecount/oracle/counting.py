@@ -5,9 +5,14 @@ nonzero coordinate is 1, which needs no field arithmetic
 (:func:`projective_plane_count`); the length-2 counters work from the
 counts over F_q and F_(q^2).
 
+Punctual ideals are the multiplication-closed subspaces found by
+:func:`~motivecount.oracle.ideals.enumerate_closed_subspaces`, each checked
+again as it becomes a record.
+
 Each counter alone states the field sizes it takes, and declines any other
 through :func:`~motivecount.oracle.ideals.require_field`; a punctual count
-also declines a sweep over :data:`MAX_SWEEP` elements.  Both raise
+also declines a search whose lowest free row has over
+:data:`MAX_ROW_CHOICES` choices.  Both raise
 :class:`~motivecount.atoms.Unsupported`.  Every comparison goes through
 :func:`run_bridge`, which reports a declined count as a skipped row with
 its reason, never as a failure.
@@ -22,17 +27,23 @@ from typing import Callable, NamedTuple
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from ..motive import MotiveClass
-from . import _pure
 from .algebra import CURVES, truncated_algebra
-from .ideals import PRIMES, IdealRecord, reduced_echelon_forms, require_field
+from .ideals import (
+    PRIMES,
+    IdealRecord,
+    enumerate_closed_subspaces,
+    reduced_echelon_forms,
+    require_field,
+)
 from .tables import MAX_COLENGTH, expected_class
 
-#: most elements, one per scalar class, 1 + (q^dim - 1)/(q - 1), that one
-#: punctual count may sweep: q=2 colength 6 sweeps 2^13 = 8192 and q=3
-#: colength 4 sweeps 9842; q=3 colength 5 sweeps 88574, and its cells took
-#: 1.3-1.8 s each, timed in process (Python 3.11.7, one core of a shared
-#: 2-vCPU Xeon VM)
-MAX_SWEEP = 1 + (3 ** 9 - 1) // 2
+#: most choices, q^(c - 1), that the search's lowest free row may have: in
+#: both germs a colength-c ideal holds c - 1 rows in the 2(c - 1) monomials
+#: of degree 1 to c - 1, so its lowest row has c - 1 free cells.  This
+#: admits q <= 5 at c <= 6, q = 7 at c <= 5 and q = 11 and 13 at c <= 4;
+#: the slowest of these, q=5 c6 and q=7 c5, took 0.5-1.3 s a cell, timed in
+#: process (Python 3.11.7, one core of a shared 2-vCPU Xeon VM)
+MAX_ROW_CHOICES = 5 ** 5
 
 
 # -- punctual ideals -----------------------------------------------------------
@@ -44,13 +55,13 @@ def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealReco
         raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
     alg = truncated_algebra(curve, colength)
     require_field(f"{curve} colength {colength}", q, PRIMES)
-    sweep = 1 + (q ** alg.dim - 1) // (q - 1)
-    if sweep > MAX_SWEEP:
+    choices = q ** (colength - 1)
+    if choices > MAX_ROW_CHOICES:
         raise Unsupported(
-            f"{curve} colength {colength} at q={q}: sweeps {sweep} elements, "
-            f"one per scalar class (at most {MAX_SWEEP})")
-    records = _pure.enumerate_ideals(alg, q, colength)
-    return tuple(IdealRecord.from_rows(basis, alg, q) for basis in records)
+            f"{curve} colength {colength} at q={q}: the lowest free row has {choices} "
+            f"choices, q^{colength - 1} (at most {MAX_ROW_CHOICES})")
+    return tuple(IdealRecord.from_rows(basis, alg, q)
+                 for basis in sorted(enumerate_closed_subspaces(alg, q, colength)))
 
 
 def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
@@ -164,7 +175,7 @@ def count_punctual_total_vs_table(curve: str, colength: int, q: int) -> FqCountR
 
 #: largest punctual bridge colength: at 5 the ribbon row sum over-counts
 #: (README caveat 2), so ``report`` and ``oracle --check bridges`` would
-#: exit 1; and at q=3, colengths 5 and 6 are over :data:`MAX_SWEEP`
+#: exit 1
 PUNCTUAL_BRIDGE_MAX_COLENGTH = 4
 
 #: every registered class-vs-count comparison, by name

@@ -8,10 +8,9 @@ multiply-add v + (q - c)*r followed by one ``bytes.translate`` through a
 table taking each byte value to its residue mod q.  For every prime
 q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
 translate, so no coefficient carries into the next; those primes are the
-kernel's domain.  At q = 2 every byte is 0 or 1 and v - r is v XOR r, so
-:func:`close_under_multiplication`, the hot loop, does its row operations
-by XOR there.  Tuples appear only at the public edges: record bases and
-the enumerators' results.
+kernel's domain.  Tuples appear only at the public edges: record bases
+and the results of the two enumerators, :func:`reduced_echelon_forms` and
+:func:`enumerate_closed_subspaces`.
 
 An ideal is stored as the reduced row echelon basis of the subspace it
 spans, which is a canonical form: two ideals are equal iff their records
@@ -20,7 +19,6 @@ are equal.
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -106,26 +104,6 @@ def echelon_reduce(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
     return p, v
 
 
-def insert_reduced(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
-    """Extend a reduced echelon basis, rows sorted by pivot, by v in place:
-    reduce v, clear its pivot column from the rows above it and insert it in
-    pivot order, so the rows stay a reduced echelon basis.  Return the new
-    row, or None if v lies in the span."""
-    new = echelon_reduce(rows, v, q, dim)
-    if new is None:
-        return None
-    p, w = new
-    table = _residues(q)
-    for k, (piv, row) in enumerate(rows):
-        if piv > p:
-            break
-        c = row >> 8 * p & 255
-        if c:
-            rows[k] = piv, _mod(row + (q - c) * w, table, dim)
-    insort(rows, new)
-    return new
-
-
 @lru_cache(maxsize=None)
 def _identity_rows(dim: int) -> tuple[Row, ...]:
     return tuple((i, 1 << 8 * i) for i in range(dim))
@@ -141,8 +119,8 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     a vector that keeps a new leading term becomes a row, normalized, and
     its x- and y-multiples join the worklist.  One back-substitution at the
     end, from the last row up, clears each pivot column from the rows above
-    it.  At q = 2 every coefficient is 0 or 1, so a row operation is one
-    XOR.
+    it.  No count runs through it; it closes given generators, a reference
+    independent of the search.
 
     Index 0 is the monomial 1, so a generator with a nonzero constant term
     is a unit of the local algebra and the ideal is the whole algebra; its
@@ -167,17 +145,14 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
                 work.append(vec_mul_monomial(v, x_shifts))
                 work.append(vec_mul_monomial(v, y_shifts))
                 break
-            if q == 2:
-                v ^= row
-            else:
-                v = _mod(v + (q - (v >> 8 * p & 255)) * row, table, dim)
+            v = _mod(v + (q - (v >> 8 * p & 255)) * row, table, dim)
     pivots = sorted(basis)
     for k in reversed(range(len(pivots))):
         row = basis[pivots[k]]
         for p in pivots[k + 1:]:
             c = row >> 8 * p & 255
             if c:
-                row = row ^ basis[p] if q == 2 else _mod(row + (q - c) * basis[p], table, dim)
+                row = _mod(row + (q - c) * basis[p], table, dim)
         basis[pivots[k]] = row
     return [(p, basis[p]) for p in pivots]
 
@@ -238,13 +213,13 @@ class IdealRecord(NamedTuple):
 
 def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:
     """All subspaces of the algebra closed under multiplication by x and y,
-    of the given colength, with no generator-count assumption; q must be a
-    prime in :data:`PRIMES`.
+    of the given colength: its ideals, with no assumption on how many
+    generators they need; q must be a prime in :data:`PRIMES`.
 
-    Exhaustive reference used to certify that two generators reach every
-    ideal.  A colength-c ideal contains every monomial of degree >= c and
-    lies inside the maximal ideal, so its basis holds those forced unit
-    rows and only the middle degrees, the free region, vary.  From the
+    The punctual counts are the sizes of these sets.  A colength-c ideal
+    contains every monomial of degree >= c and lies inside the maximal
+    ideal, so its basis holds those forced unit rows and only the middle
+    degrees, the free region, vary.  From the
     forced rows the search chooses each further pivot p, largest first,
     with its row among the :func:`row_choices` given the pivots chosen so
     far, and keeps the row only if its x- and y-multiples reduce to zero

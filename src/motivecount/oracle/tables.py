@@ -14,8 +14,8 @@ never adjusted to the enumeration: a count mismatch indicts either the
 enumeration or the row, and the report names the colength.  One such
 mismatch is real and documented (double line, colength 5): the family
 ``(x^2, xy + k y^2 + k' y^3) + m^4 with k != 0`` listed there actually has
-colength 4 and duplicates a colength-4 family, which the exhaustive
-subspace sweep in the tests certifies.
+colength 4 and duplicates a colength-4 family, which the search of all
+multiplication-closed subspaces finds.
 """
 
 from __future__ import annotations

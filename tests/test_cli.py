@@ -551,18 +551,18 @@ def test_oracle_punctual_reports_known_defect(capsys):
 
 
 def test_oracle_budget_skip(capsys):
-    code, out, err = run(capsys, "oracle", "--check", "punctual", "--q", "3",
+    code, out, err = run(capsys, "oracle", "--check", "punctual", "--q", "13",
                          "--max-colength", "5")
-    assert code == 0  # cells over the sweep limit are skipped, not failed
+    assert code == 0  # cells over the size rule are skipped, not failed
     rows = out.splitlines()[1:]
-    # colengths 1-4 sweep at most 9842 elements; colength 5 (88574) skips
+    # colength 4's lowest free row has 13^3 = 2197 choices; colength 5 skips
     assert sum(",skip," in row for row in rows) == 2
     assert sum(",pass," in row for row in rows) == 8
-    assert "punctual,3,node:5,,13,skip," in out
-    assert ("skip node colength 5 at q=3: sweeps 88574 elements, one per scalar class "
-            "(at most 9842)\n") in err
-    assert ("skip ribbon colength 5 at q=3: sweeps 88574 elements, one per scalar class "
-            "(at most 9842)\n") in err
+    assert "punctual,13,node:5,,53,skip," in out
+    assert ("skip node colength 5 at q=13: the lowest free row has 28561 choices, q^4 "
+            "(at most 3125)\n") in err
+    assert ("skip ribbon colength 5 at q=13: the lowest free row has 28561 choices, q^4 "
+            "(at most 3125)\n") in err
 
 
 def test_oracle_bridges_unsupported_q_skips(capsys):
@@ -729,11 +729,8 @@ PINNED_ORACLE_OUTPUTS = {
         1, "2e8f8fbc8081f96d9861b479c1ec9095ff6488ba7da9aaf8045ba605a3896fcd",
         _counting(2, 6)),
     "oracle --check punctual --q 3 --max-colength 6": (
-        0, "6e79b8d426a115ee8d45bd6da2caedd82e78707958ca1d203ecf610326189f40",
-        _counting(3, 6) + "".join(
-            f"skip {curve} colength {c} at q=3: sweeps {sweep} elements, one per scalar "
-            f"class (at most 9842)\n"
-            for curve in ("ribbon", "node") for c, sweep in ((5, 88574), (6, 797162)))),
+        1, "0e0a7361c6c87ea7844594096a646927fc294c97863b92cd3c2baea21b89b2f4",
+        _counting(3, 6)),
     "oracle --check bridges --q 2,3,4": (
         0, "cc6364fdde5f4cb481e877ba542c8f31c65a0405accef121c1bbeacd62d473d2",
         _skips(4, ("hilb2", "sym2p2"), "counting supports q in (2, 3)")

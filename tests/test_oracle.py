@@ -28,12 +28,11 @@ from motivecount.oracle import (
     run_bridge,
     truncated_algebra,
 )
-from motivecount.oracle import _pure
-from motivecount.oracle.counting import MAX_SWEEP
+from motivecount.oracle import counting
+from motivecount.oracle.counting import MAX_ROW_CHOICES
 from motivecount.oracle.ideals import (
     PRIMES,
     close_under_multiplication,
-    insert_reduced,
     is_closed,
     pack,
     pivot,
@@ -232,14 +231,14 @@ def test_punctual_counts_match_tables_small(curve, q, maxc):
 
 
 @pytest.mark.parametrize("curve", CURVES)
-@pytest.mark.parametrize("q,maxc", [(5, 2), (7, 2), (11, 1), (13, 1)])
-def test_punctual_counts_at_the_larger_primes(curve, q, maxc):
-    """Every cell the sweep limit admits at the kernel's other primes: the
-    engine finds every closed subspace, and their number is the row sum."""
-    for c in range(1, maxc + 1):
-        records = {r.basis for r in punctual_ideal_records(curve, c, q)}
-        assert records == enumerate_closed_subspaces(truncated_algebra(curve, c), q, c)
-        assert len(records) == expected_class(curve, c).evaluate(q), (curve, c, q)
+@pytest.mark.parametrize("q,colength", [(q, c) for q, maxc in ((5, 4), (7, 4), (11, 3), (13, 3))
+                                        for c in range(1, maxc + 1)])
+def test_punctual_counts_at_the_larger_primes(curve, q, colength):
+    """The cheap cells at the kernel's other primes: the records are the
+    closed subspaces, and their number is the row sum."""
+    records = {r.basis for r in punctual_ideal_records(curve, colength, q)}
+    assert records == enumerate_closed_subspaces(truncated_algebra(curve, colength), q, colength)
+    assert len(records) == expected_class(curve, colength).evaluate(q)
 
 
 def test_punctual_node_colength5():
@@ -268,21 +267,27 @@ def test_punctual_ribbon_colength5_known_row_defect():
         assert rec.colength == 4
 
 
-def test_two_generator_assumption_exhaustive():
-    """Every multiplication-closed subspace is reachable from a generator
-    pair: the engine's records are certified against a sweep with no
-    generator assumption, at both field sizes, and for the defect-critical
-    cell."""
-    cells = {
-        2: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4, 5, 6)],
-        3: [(curve, c) for curve in CURVES for c in (1, 2, 3, 4)],
-    }
-    for q, q_cells in cells.items():
-        for curve, c in q_cells:
-            alg = truncated_algebra(curve, c)
-            exhaustive = enumerate_closed_subspaces(alg, q, c)
-            reachable = {r.basis for r in punctual_ideal_records(curve, c, q)}
-            assert exhaustive == reachable, (curve, c, q)
+#: ideal counts at colengths 1 to 6, pinned; ribbon colength 5 is
+#: q^2 + q + 1, below its row sum 2q^2 + 1 (README caveat 2)
+PUNCTUAL_COUNTS = {
+    ("ribbon", 2): [1, 3, 3, 7, 7, 15],
+    ("node", 2): [1, 3, 5, 7, 9, 11],
+    ("ribbon", 3): [1, 4, 4, 13, 13, 40],
+    ("node", 3): [1, 4, 7, 10, 13, 16],
+}
+
+
+def test_punctual_counts_pinned_at_q2_and_q3():
+    """Every tabulated cell at q = 2 and 3 counts its pinned number, which
+    is the row sum at L = q everywhere but ribbon colength 5."""
+    for (curve, q), pinned in PUNCTUAL_COUNTS.items():
+        assert [count_punctual_ideals(curve, c, q) for c in range(1, 7)] == pinned, (curve, q)
+        for c, count in enumerate(pinned, 1):
+            if (curve, c) == ("ribbon", 5):
+                assert count == q * q + q + 1, q
+                assert expected_class(curve, c).evaluate(q) == 2 * q * q + 1, q
+            else:
+                assert count == expected_class(curve, c).evaluate(q), (curve, q, c)
 
 
 @pytest.mark.parametrize("q,maxc", [(2, 3), (3, 2), (5, 2)])
@@ -300,10 +305,10 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
 
 
 def test_closed_subspaces_beyond_the_engine():
-    """Counts from the exhaustive search alone, up to cells the punctual
-    engine's sweep limit declines.  Each equals the row sum at L = q,
-    except ribbon colength 5, where the search finds q^2 + q + 1 ideals
-    against the tabulated 2q^2 + 1."""
+    """The search's counts at q = 3 to 13, up to the largest cells the size
+    rule admits at q = 5 and 7.  Each equals the row sum at L = q, except
+    ribbon colength 5, where the search finds q^2 + q + 1 ideals against
+    the tabulated 2q^2 + 1."""
     cells = [(3, 5), (3, 6)] + [(q, c) for q, maxc in ((5, 6), (7, 5), (11, 3), (13, 3))
                                 for c in range(1, maxc + 1)]
     counts = {(curve, q, c): len(enumerate_closed_subspaces(truncated_algebra(curve, c), q, c))
@@ -367,7 +372,7 @@ def test_from_rows_rejects_bases_not_in_reduced_echelon_form(curve):
     reduced echelon basis and never reduces one itself."""
     alg = truncated_algebra(curve, 3)
     for q in (2, 3):
-        for basis in _pure.enumerate_ideals(alg, q, 3):
+        for basis in sorted(enumerate_closed_subspaces(alg, q, 3)):
             assert _span_rref(basis, q) == basis
             assert IdealRecord.from_rows(basis, alg, q).basis == basis
             first, second, *rest = basis
@@ -473,48 +478,6 @@ def test_a_unit_generates_the_whole_algebra(curve):
     assert _closed_record([unit], alg, 3).colength == 0
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_scalar_representatives_cover_each_class_once(q):
-    """One representative per class v ~ cv (c a nonzero scalar); at q = 2
-    that is every vector."""
-    for dim in range(1, 6):
-        reps = list(_pure.scalar_representatives(dim, q))
-        assert len(reps) == len(set(reps)) == 1 + (q ** dim - 1) // (q - 1)
-        for v in itertools.product(range(q), repeat=dim):
-            scaled = {tuple((c * a) % q for a in v) for c in range(1, q)}
-            assert len(scaled.intersection(reps)) == 1, (dim, v)
-
-
-@pytest.mark.parametrize("curve", CURVES)
-def test_principal_closures_match_a_sweep_of_every_element(curve):
-    """Sweeping one element per scalar class finds every principal ideal
-    that a sweep of all q^dim elements finds, at q = 3."""
-    for c in range(1, 4):
-        alg = truncated_algebra(curve, c)
-        every = {_basis(close_under_multiplication([pack(f)], alg, 3), alg.dim)
-                 for f in itertools.product(range(3), repeat=alg.dim)}
-        closures = _pure.principal_closures(alg, 3)
-        assert {tuple(unpack(v, alg.dim) for v in key) for key in closures} == every, (curve, c)
-        assert all(key == tuple(v for _, v in rows) for key, rows in closures.items())
-
-
-def test_insert_reduced_keeps_reduced_echelon_form():
-    rng = random.Random(7)
-    for trial in range(200):
-        q, dim = rng.choice((2, 3)), rng.randint(1, 8)
-        rows, inserted = [], []
-        for _ in range(rng.randint(1, dim + 2)):
-            v = tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(dim))
-            before = len(rows)
-            new = insert_reduced(rows, pack(v), q, dim)
-            inserted.append(v)
-            assert (new is None) == (len(rows) == before), (trial, v)
-            assert [p for p, _ in rows] == sorted({p for p, _ in rows}), trial
-            assert all(next(i for i, c in enumerate(r) if c) == p and r[p] == 1
-                       for p, r in zip((p for p, _ in rows), _basis(rows, dim))), trial
-            assert _basis(rows, dim) == _span_rref(inserted, q), trial
-
-
 # -- the packed kernel against tuple elimination ----------------------------------
 
 def test_pack_round_trip():
@@ -535,9 +498,9 @@ def _tuple_is_closed(basis, alg, q):
 
 @pytest.mark.parametrize("q", PRIMES)
 def test_kernel_matches_tuple_elimination(q):
-    """close_under_multiplication, insert_reduced and is_closed on packed
-    vectors agree with Gauss-Jordan elimination on coefficient tuples, over
-    every prime the kernel supports, on both germs up to colength 6."""
+    """close_under_multiplication and is_closed on packed vectors agree with
+    Gauss-Jordan elimination on coefficient tuples, over every prime the
+    kernel supports, on both germs up to colength 6."""
     rng = random.Random(1000 + q)
     for curve in CURVES:
         for c in range(1, 7):
@@ -555,49 +518,44 @@ def test_kernel_matches_tuple_elimination(q):
                 assert _basis(rows, alg.dim) == expected, (curve, c, gens)
                 assert is_closed(rows, alg, q)
 
-                vectors = [vector() for _ in range(rng.randint(1, alg.dim))]
-                rows, span = [], ()
-                for k, v in enumerate(vectors):
-                    new = insert_reduced(rows, pack(v), q, alg.dim)
-                    grown = _span_rref(vectors[:k + 1], q)
-                    assert _basis(rows, alg.dim) == grown, (curve, c, vectors[:k + 1])
-                    assert (new is None) == (len(grown) == len(span)), (curve, c, v)
-                    assert new is None or new in rows, (curve, c, v)
-                    span = grown
+                span = _span_rref([vector() for _ in range(rng.randint(1, alg.dim))], q)
+                rows = [(pivot(pack(v)), pack(v)) for v in span]
                 assert is_closed(rows, alg, q) == _tuple_is_closed(span, alg, q), (curve, c)
 
 
 def test_order_independence(monkeypatch):
-    alg = truncated_algebra("node", 3)
-    baseline = _pure.enumerate_ideals(alg, 2, 3)
-    sweep = _pure.principal_closures
+    """The records come sorted, whatever order the search yields them in."""
+    baseline = punctual_ideal_records("node", 3, 3)
+    assert [r.basis for r in baseline] == sorted(r.basis for r in baseline)
+    search = counting.enumerate_closed_subspaces
     for seed in range(5):
-        def shuffled(alg, q, rng=random.Random(seed)):
-            items = list(sweep(alg, q).items())
-            rng.shuffle(items)
-            return dict(items)
-        monkeypatch.setattr(_pure, "principal_closures", shuffled)
-        assert _pure.enumerate_ideals(alg, 2, 3) == baseline
+        def shuffled(alg, q, colength, rng=random.Random(seed)):
+            found = list(search(alg, q, colength))
+            rng.shuffle(found)
+            return found
+        monkeypatch.setattr(counting, "enumerate_closed_subspaces", shuffled)
+        assert punctual_ideal_records("node", 3, 3) == baseline
 
 
-# -- sweep limit and results -------------------------------------------------------
+# -- size rule and results ---------------------------------------------------------
 
 def test_budget_exceeded(monkeypatch):
-    # the largest cells under the limit: q=2 colength 6 sweeps 2^13 elements
-    # and q=3 colength 4 sweeps 1 + (3^9 - 1)/2
-    assert 1 + (2 ** truncated_algebra("node", 6).dim - 1) == 8192 < MAX_SWEEP
-    assert 1 + (3 ** truncated_algebra("node", 4).dim - 1) // 2 == 9842 == MAX_SWEEP
-    # the four tabulated cells over the limit: q=3 colength 5 sweeps
-    # 1 + (3^11 - 1)/2 elements and colength 6 sweeps 1 + (3^13 - 1)/2; each
-    # raises before any sweep
-    monkeypatch.setattr(_pure, "principal_closures", None)
+    """The search's lowest free row has q^(c - 1) choices: the size rule
+    admits q <= 5 at colength 6, q = 7 at 5 and q = 11 and 13 at 4, and
+    declines the next colength of each before any search."""
+    assert MAX_ROW_CHOICES == 5 ** 5
+    limits = {2: 6, 3: 6, 5: 6, 7: 5, 11: 4, 13: 4}
+    assert {q: max(c for c in range(1, 7) if q ** (c - 1) <= MAX_ROW_CHOICES)
+            for q in PRIMES} == limits
+    monkeypatch.setattr(counting, "enumerate_closed_subspaces", None)
     for curve in CURVES:
-        for colength, sweep in ((5, 88574), (6, 797162)):
-            assert 1 + (3 ** truncated_algebra(curve, colength).dim - 1) // 2 == sweep > MAX_SWEEP
-            with pytest.raises(Unsupported, match=rf"^{curve} colength {colength} at q=3: "
-                                                  rf"sweeps {sweep} elements, one per scalar "
-                                                  rf"class \(at most 9842\)$"):
-                count_punctual_ideals(curve, colength, 3)
+        for q, colength in ((7, 6), (11, 5), (13, 5), (13, 6)):
+            choices = q ** (colength - 1)
+            with pytest.raises(Unsupported, match=rf"^{curve} colength {colength} at q={q}: "
+                                                  rf"the lowest free row has {choices} "
+                                                  rf"choices, q\^{colength - 1} "
+                                                  rf"\(at most 3125\)$"):
+                count_punctual_ideals(curve, colength, q)
 
 
 def test_unsupported_punctual_parameters():
@@ -616,22 +574,22 @@ def test_total_vs_table_rows():
     bad = count_punctual_total_vs_table("ribbon", 5, 2)
     assert not bad.passed and bad.status == "fail"
     assert (bad.count, bad.expected) == (7, 9)
-    skipped = count_punctual_total_vs_table("node", 5, 3)
+    skipped = count_punctual_total_vs_table("node", 6, 7)
     assert skipped.skipped and skipped.status == "skip" and skipped.count is None
-    assert skipped.reason == ("node colength 5 at q=3: sweeps 88574 elements, "
-                              "one per scalar class (at most 9842)")
+    assert skipped.reason == ("node colength 6 at q=7: the lowest free row has 16807 "
+                              "choices, q^5 (at most 3125)")
 
 
 def test_results_csv():
     rows = [count_punctual_total_vs_table("node", 1, 2),
-            count_punctual_total_vs_table("node", 5, 3)]
+            count_punctual_total_vs_table("node", 5, 11)]
     text = results_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "counter,q,params,count,expected,pass,millis"
     assert lines[1].startswith("punctual,2,node:1,1,1,pass,")
-    assert lines[2].startswith("punctual,3,node:5,,13,skip,")
-    assert result_fields(rows[1]) == {"counter": "punctual", "q": 3, "params": "node:5",
-                                      "count": None, "expected": 13, "status": "skip"}
+    assert lines[2].startswith("punctual,11,node:5,,45,skip,")
+    assert result_fields(rows[1]) == {"counter": "punctual", "q": 11, "params": "node:5",
+                                      "count": None, "expected": 45, "status": "skip"}
 
 
 def test_a_result_is_skipped_exactly_when_it_has_no_count():
