@@ -21,10 +21,9 @@ from .motive import MotiveClass, power_exp
 
 class Unsupported(ValueError):
     """Input the calculator or the oracle declines: an atom parameter outside
-    the implemented range, a field size a counter does not support, or a
-    punctual count over the search's size rule.  The command line reports
-    it as exit 2, and an oracle comparison as a skipped row with its
-    reason."""
+    the implemented range, or a field size a counter does not support.  The
+    command line reports it as exit 2, and an oracle comparison as a
+    skipped row with its reason."""
 
 
 def affine(n: int) -> MotiveClass:

@@ -10,9 +10,7 @@ Punctual ideals are the multiplication-closed subspaces found by
 again as it becomes a record.
 
 Each counter alone states the field sizes it takes, and declines any other
-through :func:`~motivecount.oracle.ideals.require_field`; a punctual count
-also declines a search whose lowest free row has over
-:data:`MAX_ROW_CHOICES` choices.  Both raise
+through :func:`~motivecount.oracle.ideals.require_field`, which raises
 :class:`~motivecount.atoms.Unsupported`.  Every comparison goes through
 :func:`run_bridge`, which reports a declined count as a skipped row with
 its reason, never as a failure.
@@ -37,14 +35,6 @@ from .ideals import (
 )
 from .tables import MAX_COLENGTH, expected_class
 
-#: most choices, q^(c - 1), that the search's lowest free row may have: in
-#: both germs a colength-c ideal holds c - 1 rows in the 2(c - 1) monomials
-#: of degree 1 to c - 1, so its lowest row has c - 1 free cells.  This
-#: admits q <= 5 at c <= 6, q = 7 at c <= 5 and q = 11 and 13 at c <= 4;
-#: the slowest of these, q=5 c6 and q=7 c5, took 0.5-1.3 s a cell, timed in
-#: process (Python 3.11.7, one core of a shared 2-vCPU Xeon VM)
-MAX_ROW_CHOICES = 5 ** 5
-
 
 # -- punctual ideals -----------------------------------------------------------
 
@@ -55,11 +45,6 @@ def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealReco
         raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
     alg = truncated_algebra(curve, colength)
     require_field(f"{curve} colength {colength}", q, PRIMES)
-    choices = q ** (colength - 1)
-    if choices > MAX_ROW_CHOICES:
-        raise Unsupported(
-            f"{curve} colength {colength} at q={q}: the lowest free row has {choices} "
-            f"choices, q^{colength - 1} (at most {MAX_ROW_CHOICES})")
     return tuple(IdealRecord.from_rows(basis, alg, q)
                  for basis in sorted(enumerate_closed_subspaces(alg, q, colength)))
 

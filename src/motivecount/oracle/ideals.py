@@ -19,6 +19,7 @@ are equal.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -114,13 +115,12 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     by the given packed vectors: the span of all monomial multiples, built
     with a worklist.  The basis is its own canonical form.
 
-    Each worklist vector is reduced by its leading term only, against the
-    rows found so far keyed by pivot, so they form a plain echelon basis;
-    a vector that keeps a new leading term becomes a row, normalized, and
-    its x- and y-multiples join the worklist.  One back-substitution at the
-    end, from the last row up, clears each pivot column from the rows above
-    it.  No count runs through it; it closes given generators, a reference
-    independent of the search.
+    Each worklist vector is reduced by :func:`echelon_reduce` against the
+    rows found so far; a vector that keeps a new row adds it, in pivot
+    order, and its x- and y-multiples join the worklist.  One
+    back-substitution at the end, from the last row up, reduces each row
+    against the rows below it.  No count runs through it; it closes given
+    generators, a reference independent of the search.
 
     Index 0 is the monomial 1, so a generator with a nonzero constant term
     is a unit of the local algebra and the ideal is the whole algebra; its
@@ -129,32 +129,16 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     dim = alg.dim
     if any(v & 255 for v in work):
         return list(_identity_rows(dim))
-    x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
-    table = _residues(q)
-    basis: dict[int, int] = {}
+    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
+    basis: list[Row] = []
     while work:
-        v = work.pop()
-        while v:
-            p = pivot(v)
-            row = basis.get(p)
-            if row is None:
-                c = v >> 8 * p & 255
-                if c != 1:
-                    v = _mod(v * pow(c, q - 2, q), table, dim)
-                basis[p] = v
-                work.append(vec_mul_monomial(v, x_shifts))
-                work.append(vec_mul_monomial(v, y_shifts))
-                break
-            v = _mod(v + (q - (v >> 8 * p & 255)) * row, table, dim)
-    pivots = sorted(basis)
-    for k in reversed(range(len(pivots))):
-        row = basis[pivots[k]]
-        for p in pivots[k + 1:]:
-            c = row >> 8 * p & 255
-            if c:
-                row = _mod(row + (q - c) * basis[p], table, dim)
-        basis[pivots[k]] = row
-    return [(p, basis[p]) for p in pivots]
+        row = echelon_reduce(basis, work.pop(), q, dim)
+        if row:
+            insort(basis, row)
+            work += [vec_mul_monomial(row[1], m) for m in maps]
+    for k in reversed(range(len(basis))):
+        basis[k] = echelon_reduce(basis[k + 1:], basis[k][1], q, dim)
+    return basis
 
 
 def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
@@ -165,14 +149,14 @@ def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
                for _, v in rows for m in maps)
 
 
-def row_choices(p: int, pivots, columns, q: int) -> list[int]:
-    """Every packed row at pivot p of a reduced echelon form over F_q whose
-    columns are the given ascending sequence: e_p plus every assignment of
-    the columns after p that are not in pivots.  Only the pivots after p
-    matter; the last free cell varies fastest."""
+def row_choices(p: int, pivots, n: int, q: int) -> list[int]:
+    """Every packed row at pivot p of a reduced echelon form of n columns
+    over F_q: e_p plus every assignment of the columns after p that are not
+    in pivots.  Only the pivots after p matter; the last free cell varies
+    fastest."""
     options = [1 << 8 * p]
-    for j in columns:
-        if j > p and j not in pivots:
+    for j in range(p + 1, n):
+        if j not in pivots:
             options = [x + (c << 8 * j) for x in options for c in range(q)]
     return options
 
@@ -186,7 +170,7 @@ def reduced_echelon_forms(k: int, n: int, q: int):
     in :func:`itertools.combinations` order, row 0 varies slowest and the
     last free cell fastest."""
     for pivots in combinations(range(n), k):
-        yield from product(*(row_choices(p, pivots, range(n), q) for p in pivots))
+        yield from product(*(row_choices(p, pivots, n, q) for p in pivots))
 
 
 class IdealRecord(NamedTuple):
@@ -219,17 +203,27 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     The punctual counts are the sizes of these sets.  A colength-c ideal
     contains every monomial of degree >= c and lies inside the maximal
     ideal, so its basis holds those forced unit rows and only the middle
-    degrees, the free region, vary.  From the
-    forced rows the search chooses each further pivot p, largest first,
-    with its row among the :func:`row_choices` given the pivots chosen so
-    far, and keeps the row only if its x- and y-multiples reduce to zero
-    against the rows held, the test :func:`is_closed` applies to each row.
+    degrees, the free region, vary.  From the forced rows the search
+    chooses each further pivot p, largest first, and with it every
+    admissible row: e_p + sum a_j e_j over the free columns j after p that
+    are not pivots, whose x- and y-multiples reduce to zero against the
+    rows held, the test :func:`is_closed` applies to each row.
     Multiplication by x or y sends each index to a larger one, never to
     index 0, so the multiples of a row at pivot p are zero at every column
     up to p: they reduce only against the forced rows and the rows of
-    larger pivot, and a partial form that fails the test cannot be
-    completed to a closed subspace.  Every free cell of every row tried is
-    still tried, with no linear solve.
+    larger pivot, and a partial form with no admissible row cannot be
+    completed to a closed subspace.
+
+    The held rows span a fixed space, so the test is linear in the a_j and
+    the admissible rows are solved for, not tried.  Each column j, then p,
+    is packed as x e_j | y e_j | e_j, three blocks of dim bytes, and
+    reduced by :func:`echelon_reduce` against the held rows, lifted into
+    both product blocks, and the columns already kept.  A column that keeps
+    a pivot in a product block is kept; one that reduces to its last block,
+    the tag, is a combination of the a_j whose multiples lie in the span.
+    If p's column reduces to its tag, that tag is one admissible row, and
+    the others add every F_q-combination of the earlier tags; otherwise no
+    row at pivot p is admissible.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -238,7 +232,28 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
     extra_dim = (dim - colength) - len(forced)
     found: set[tuple[Vector, ...]] = set()
-    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
+    x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
+    table = _residues(q)
+
+    def closed_rows(rows: list[Row], pivots: tuple[int, ...], p: int) -> list[int]:
+        # every admissible row at pivot p, given the rows held
+        basis = sorted(rows + [(i + dim, v << 8 * dim) for i, v in rows])
+        kernel: list[int] = []
+        for j in [j for j in free_region if j > p and j not in pivots] + [p]:
+            e = 1 << 8 * j
+            column = (vec_mul_monomial(e, x_shifts) | vec_mul_monomial(e, y_shifts) << 8 * dim
+                      | e << 16 * dim)
+            piv, v = echelon_reduce(basis, column, q, 3 * dim)
+            if piv < 2 * dim:
+                insort(basis, (piv, v))
+            elif j != p:
+                kernel.append(v >> 16 * dim)
+            else:
+                solutions = [v >> 16 * dim]
+                for w in kernel:
+                    solutions = [_mod(s + c * w, table, dim) for s in solutions for c in range(q)]
+                return solutions
+        return []
 
     def extend(rows: list[Row], pivots: tuple[int, ...], k: int, top: int) -> None:
         # rows holds the forced rows and the rows chosen at pivots, a reduced
@@ -247,9 +262,8 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
             found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
             return
         for t, p in enumerate(free_region[k - 1:top], k - 1):
-            for v in row_choices(p, pivots, free_region, q):
-                if not any(echelon_reduce(rows, vec_mul_monomial(v, m), q, dim) for m in maps):
-                    extend(rows + [(p, v)], pivots + (p,), k - 1, t)
+            for v in closed_rows(rows, pivots, p):
+                extend(rows + [(p, v)], pivots + (p,), k - 1, t)
 
     if extra_dim >= 0:
         extend([_identity_rows(dim)[i] for i in forced], (), extra_dim, len(free_region))

@@ -550,19 +550,16 @@ def test_oracle_punctual_reports_known_defect(capsys):
     assert any(row.startswith("punctual,2,ribbon:5,7,9,fail,") for row in rows)
 
 
-def test_oracle_budget_skip(capsys):
+def test_oracle_counts_every_colength_at_q13(capsys):
     code, out, err = run(capsys, "oracle", "--check", "punctual", "--q", "13",
-                         "--max-colength", "5")
-    assert code == 0  # cells over the size rule are skipped, not failed
+                         "--max-colength", "6")
+    assert code == 1  # ribbon colength 5 fails (README caveat 2)
     rows = out.splitlines()[1:]
-    # colength 4's lowest free row has 13^3 = 2197 choices; colength 5 skips
-    assert sum(",skip," in row for row in rows) == 2
-    assert sum(",pass," in row for row in rows) == 8
-    assert "punctual,13,node:5,,53,skip," in out
-    assert ("skip node colength 5 at q=13: the lowest free row has 28561 choices, q^4 "
-            "(at most 3125)\n") in err
-    assert ("skip ribbon colength 5 at q=13: the lowest free row has 28561 choices, q^4 "
-            "(at most 3125)\n") in err
+    assert len(rows) == 12
+    assert not any(",skip," in row for row in rows)
+    assert not any(line.startswith("skip ") for line in err.splitlines())
+    assert [row.rsplit(",", 1)[0] for row in rows if ",fail," in row] == [
+        "punctual,13,ribbon:5,183,339,fail"]
 
 
 def test_oracle_bridges_unsupported_q_skips(capsys):

@@ -29,13 +29,13 @@ from motivecount.oracle import (
     truncated_algebra,
 )
 from motivecount.oracle import counting
-from motivecount.oracle.counting import MAX_ROW_CHOICES
 from motivecount.oracle.ideals import (
     PRIMES,
     close_under_multiplication,
     is_closed,
     pack,
     pivot,
+    row_choices,
     unpack,
 )
 
@@ -304,25 +304,63 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
             assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
 
 
-def test_closed_subspaces_beyond_the_engine():
-    """The search's counts at q = 3 to 13, up to the largest cells the size
-    rule admits at q = 5 and 7.  Each equals the row sum at L = q, except
-    ribbon colength 5, where the search finds q^2 + q + 1 ideals against
-    the tabulated 2q^2 + 1."""
-    cells = [(3, 5), (3, 6)] + [(q, c) for q, maxc in ((5, 6), (7, 5), (11, 3), (13, 3))
-                                for c in range(1, maxc + 1)]
-    counts = {(curve, q, c): len(enumerate_closed_subspaces(truncated_algebra(curve, c), q, c))
-              for curve in CURVES for q, c in cells}
-    assert [counts["ribbon", 3, c] for c in (5, 6)] == [13, 40]
-    assert [counts["node", 3, c] for c in (5, 6)] == [13, 16]
-    assert [counts["ribbon", 5, 6], counts["ribbon", 7, 5]] == [156, 57]
-    assert [counts["node", 5, 6], counts["node", 7, 5]] == [26, 29]
-    for (curve, q, c), count in counts.items():
-        if (curve, c) == ("ribbon", 5):
-            assert count == q * q + q + 1, q
-            assert expected_class(curve, c).evaluate(q) == 2 * q * q + 1, q
-        else:
-            assert count == expected_class(curve, c).evaluate(q), (curve, q, c)
+def _closed_subspaces_by_trial(alg, q, colength):
+    """The search with each row's free cells tried, not solved for: from
+    the forced rows, every pivot p chosen largest first and every value of
+    its row, kept when the rows with it pass :func:`is_closed`."""
+    deg = [a + b for a, b in alg.monomials]
+    forced = tuple(i for i, d in enumerate(deg) if d >= colength)
+    free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
+    found = set()
+
+    def extend(rows, pivots, k, top):
+        if not k:
+            found.add(tuple(unpack(v, alg.dim) for _, v in sorted(rows)))
+            return
+        for t, p in enumerate(free_region[k - 1:top], k - 1):
+            for v in row_choices(p, pivots, alg.dim, q):
+                if is_closed(rows + [(p, v)], alg, q):
+                    extend(rows + [(p, v)], pivots + (p,), k - 1, t)
+
+    k = alg.dim - colength - len(forced)
+    if k >= 0:
+        extend([(i, 1 << 8 * i) for i in forced], forced, k, len(free_region))
+    return found
+
+
+@pytest.mark.parametrize("q,maxc", [(2, 6), (3, 6), (5, 5)])
+def test_closed_subspaces_match_the_search_by_trial(q, maxc):
+    """Solving for each row's free cells finds the same subspaces as
+    trying every value of them with the closure test."""
+    for curve in CURVES:
+        for c in range(1, maxc + 1):
+            alg = truncated_algebra(curve, c)
+            assert enumerate_closed_subspaces(alg, q, c) == _closed_subspaces_by_trial(alg, q, c), (
+                curve, c)
+
+
+#: cells also pinned by value: ribbon colength 5, q^2 + q + 1 (README
+#: caveat 2), and the largest cell, ribbon colength 6 at q=13
+PINNED_AT_LARGE_PRIMES = {("ribbon", 11, 5): 133, ("ribbon", 13, 5): 183,
+                          ("ribbon", 13, 6): 2380}
+
+
+@pytest.mark.parametrize("colength", range(1, 7))
+@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("curve", CURVES)
+def test_closed_subspaces_at_every_prime(curve, q, colength):
+    """Every cell up to colength 6 is counted at every prime the kernel
+    takes.  Each count equals the row sum at L = q, except ribbon colength
+    5, where the search finds q^2 + q + 1 ideals against the tabulated
+    2q^2 + 1."""
+    count = len(enumerate_closed_subspaces(truncated_algebra(curve, colength), q, colength))
+    if (curve, q, colength) in PINNED_AT_LARGE_PRIMES:
+        assert count == PINNED_AT_LARGE_PRIMES[curve, q, colength]
+    if (curve, colength) == ("ribbon", 5):
+        assert count == q * q + q + 1
+        assert expected_class(curve, colength).evaluate(q) == 2 * q * q + 1
+    else:
+        assert count == expected_class(curve, colength).evaluate(q)
 
 
 def test_closed_subspaces_do_not_depend_on_the_truncation():
@@ -537,26 +575,7 @@ def test_order_independence(monkeypatch):
         assert punctual_ideal_records("node", 3, 3) == baseline
 
 
-# -- size rule and results ---------------------------------------------------------
-
-def test_budget_exceeded(monkeypatch):
-    """The search's lowest free row has q^(c - 1) choices: the size rule
-    admits q <= 5 at colength 6, q = 7 at 5 and q = 11 and 13 at 4, and
-    declines the next colength of each before any search."""
-    assert MAX_ROW_CHOICES == 5 ** 5
-    limits = {2: 6, 3: 6, 5: 6, 7: 5, 11: 4, 13: 4}
-    assert {q: max(c for c in range(1, 7) if q ** (c - 1) <= MAX_ROW_CHOICES)
-            for q in PRIMES} == limits
-    monkeypatch.setattr(counting, "enumerate_closed_subspaces", None)
-    for curve in CURVES:
-        for q, colength in ((7, 6), (11, 5), (13, 5), (13, 6)):
-            choices = q ** (colength - 1)
-            with pytest.raises(Unsupported, match=rf"^{curve} colength {colength} at q={q}: "
-                                                  rf"the lowest free row has {choices} "
-                                                  rf"choices, q\^{colength - 1} "
-                                                  rf"\(at most 3125\)$"):
-                count_punctual_ideals(curve, colength, q)
-
+# -- results ----------------------------------------------------------------------
 
 def test_unsupported_punctual_parameters():
     with pytest.raises(Unsupported):
@@ -574,22 +593,22 @@ def test_total_vs_table_rows():
     bad = count_punctual_total_vs_table("ribbon", 5, 2)
     assert not bad.passed and bad.status == "fail"
     assert (bad.count, bad.expected) == (7, 9)
-    skipped = count_punctual_total_vs_table("node", 6, 7)
+    skipped = count_punctual_total_vs_table("node", 6, 4)
     assert skipped.skipped and skipped.status == "skip" and skipped.count is None
-    assert skipped.reason == ("node colength 6 at q=7: the lowest free row has 16807 "
-                              "choices, q^5 (at most 3125)")
+    assert skipped.reason == ("node colength 6 at q=4: counting supports q in "
+                              "(2, 3, 5, 7, 11, 13)")
 
 
 def test_results_csv():
     rows = [count_punctual_total_vs_table("node", 1, 2),
-            count_punctual_total_vs_table("node", 5, 11)]
+            count_punctual_total_vs_table("node", 5, 4)]
     text = results_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "counter,q,params,count,expected,pass,millis"
     assert lines[1].startswith("punctual,2,node:1,1,1,pass,")
-    assert lines[2].startswith("punctual,11,node:5,,45,skip,")
-    assert result_fields(rows[1]) == {"counter": "punctual", "q": 11, "params": "node:5",
-                                      "count": None, "expected": 45, "status": "skip"}
+    assert lines[2].startswith("punctual,4,node:5,,17,skip,")
+    assert result_fields(rows[1]) == {"counter": "punctual", "q": 4, "params": "node:5",
+                                      "count": None, "expected": 17, "status": "skip"}
 
 
 def test_a_result_is_skipped_exactly_when_it_has_no_count():
