@@ -105,11 +105,6 @@ def echelon_reduce(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
     return p, v
 
 
-@lru_cache(maxsize=None)
-def _identity_rows(dim: int) -> tuple[Row, ...]:
-    return tuple((i, 1 << 8 * i) for i in range(dim))
-
-
 def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Row]:
     """Reduced echelon basis, rows sorted by pivot, of the ideal generated
     by the given packed vectors: the span of all monomial multiples, built
@@ -120,15 +115,9 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     order, and its x- and y-multiples join the worklist.  One
     back-substitution at the end, from the last row up, reduces each row
     against the rows below it.  No count runs through it; it closes given
-    generators, a reference independent of the search.
-
-    Index 0 is the monomial 1, so a generator with a nonzero constant term
-    is a unit of the local algebra and the ideal is the whole algebra; its
-    basis, the identity rows, is returned without a worklist."""
+    generators, a reference independent of the search."""
     work = list(generators)
     dim = alg.dim
-    if any(v & 255 for v in work):
-        return list(_identity_rows(dim))
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
     basis: list[Row] = []
     while work:
@@ -266,5 +255,5 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
                 extend(rows + [(p, v)], pivots + (p,), k - 1, t)
 
     if extra_dim >= 0:
-        extend([_identity_rows(dim)[i] for i in forced], (), extra_dim, len(free_region))
+        extend([(i, 1 << 8 * i) for i in forced], (), extra_dim, len(free_region))
     return found

@@ -414,9 +414,10 @@ def _untimed(text):
     "verify --target all --format json",
     "verify --target m41 --format md",
     "oracle --check gr --q 2",
+    "oracle --check punctual --q 2,3 --max-colength 4",
     "report --format json",
 ])
-def test_output_file(tmp_path, capsys, shared_bridges, argv):
+def test_output_file(tmp_path, capsys, argv):
     """Every command's -o writes the bytes it would print and prints
     nothing; a path it cannot open exits 2 with a message."""
     code, printed, _ = run(capsys, *argv.split())
@@ -639,28 +640,37 @@ def test_oracle_long_q_list_is_read_fast(capsys):
     assert err.endswith("error: argument --q: at most 100 field sizes in a q list, got 20001\n")
 
 
+#: oracle options that end with a bad value
+_BAD_ORACLE_OPTIONS = [("--q", "2", "--max-colength", colength)
+                       for colength in ("0", "7", "\u0663", "+3", " 3")] + [("--q", "2,,3")]
+
+
 @pytest.mark.parametrize("check", ["gr", "punctual", "hilb2", "bridges"])
-@pytest.mark.parametrize("colength", ["0", "7", "\u0663", "+3", " 3"])
-def test_oracle_max_colength_out_of_range_exits_2(capsys, tmp_path, check, colength):
-    """Every --check rejects the value, not only the punctual one that uses
-    it, and the parser rejects it before an existing -o file is opened; an
-    integer is ASCII digits only, so another script's digit, a sign or a
-    space is a usage error."""
+@pytest.mark.parametrize("options", _BAD_ORACLE_OPTIONS,
+                         ids=[options[-1] for options in _BAD_ORACLE_OPTIONS])
+def test_oracle_max_colength_out_of_range_exits_2(capsys, tmp_path, check, options):
+    """Every --check rejects a bad --max-colength, not only the punctual one
+    that uses it, and a bad --q; the parser rejects either before an existing
+    -o file is opened.  An integer is ASCII digits only, so another script's
+    digit, a sign or a space is a usage error."""
     path = tmp_path / "out"
     path.write_bytes(b"old\n")
-    code, out, err = run_usage_error(capsys, "oracle", "--check", check, "--q", "2",
-                                     "--max-colength", colength, "-o", str(path))
+    code, out, err = run_usage_error(capsys, "oracle", "--check", check, *options,
+                                     "-o", str(path))
     assert (code, out, path.read_bytes()) == (2, "", b"old\n")
-    if colength in ("0", "7"):
+    option, value = options[-2:]
+    if option == "--q":
+        assert err.endswith(f"error: argument --q: bad q list {value!r}\n")
+    elif value in ("0", "7"):
         # Python versions differ in whether they quote the rejected value
-        assert err.endswith(tuple(f"error: argument --max-colength: invalid choice: {value} "
+        assert err.endswith(tuple(f"error: argument --max-colength: invalid choice: {shown} "
                                   "(choose from 1, 2, 3, 4, 5, 6)\n"
-                                  for value in (colength, repr(colength))))
-        return
-    assert err.endswith(f"error: argument --max-colength: invalid integer value: {colength!r}\n")
+                                  for shown in (value, repr(value))))
+    else:
+        assert err.endswith(f"error: argument --max-colength: invalid integer value: {value!r}\n")
 
 
-def test_report_json(capsys, shared_bridges):
+def test_report_json(capsys):
     code, out, _ = run(capsys, "report", "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -704,16 +714,17 @@ PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("argv", PINNED_OUTPUTS)
-def test_output_bytes_pinned(capsys, shared_bridges, argv):
+def test_output_bytes_pinned(capsys, argv):
     """The verification and report documents, byte for byte."""
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[argv]
 
 
-def _counting(q, max_colength):
+def _counting(max_colength, *qs):
     return "".join(f"counting {curve} colength {c} at q={q} ...\n"
-                   for curve in ("ribbon", "node") for c in range(1, max_colength + 1))
+                   for curve in ("ribbon", "node") for c in range(1, max_colength + 1)
+                   for q in qs)
 
 
 def _skips(q, cells, reason):
@@ -724,10 +735,14 @@ def _skips(q, cells, reason):
 PINNED_ORACLE_OUTPUTS = {
     "oracle --check punctual --q 2 --max-colength 6": (
         1, "2e8f8fbc8081f96d9861b479c1ec9095ff6488ba7da9aaf8045ba605a3896fcd",
-        _counting(2, 6)),
+        _counting(6, 2)),
     "oracle --check punctual --q 3 --max-colength 6": (
         1, "0e0a7361c6c87ea7844594096a646927fc294c97863b92cd3c2baea21b89b2f4",
-        _counting(3, 6)),
+        _counting(6, 3)),
+    # ribbon colength 5 fails at each of these primes too (README caveat 2)
+    "oracle --check punctual --q 5,7,11,13 --max-colength 6": (
+        1, "705802cc497f76ea75471b2077a60da2cd8fbd81884b204c8ace2372fbb984d9",
+        _counting(6, 5, 7, 11, 13)),
     "oracle --check bridges --q 2,3,4": (
         0, "cc6364fdde5f4cb481e877ba542c8f31c65a0405accef121c1bbeacd62d473d2",
         _skips(4, ("hilb2", "sym2p2"), "counting supports q in (2, 3)")
@@ -752,7 +767,7 @@ def _readme_commands():
 
 
 @pytest.mark.parametrize("line", _readme_commands())
-def test_readme_examples_run(line, tmp_path, monkeypatch, capsys, shared_bridges):
+def test_readme_examples_run(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for -o report.json
     code, _, _ = run(capsys, *shlex.split(line)[1:])
     # the documented ribbon colength-5 row fails at q=2

@@ -640,8 +640,8 @@ def test_bridges_at_an_unsupported_q_skip():
         "gr(2,4) at q=6: counting supports q in (2, 3, 4)")
 
 
-def test_bridge_check_all_passes(bridges_q23):
-    results = bridges_q23
+def test_bridge_check_all_passes():
+    results = bridge_check_all([2, 3])
     assert all(r.passed for r in results)
     kinds = {r.counter for r in results}
     assert kinds == {"gr", "hilb1", "hilb2", "sym2p2", "punctual"}
