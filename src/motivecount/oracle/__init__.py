@@ -20,18 +20,16 @@ from .counting import (
     count_punctual_total_vs_table,
     count_sym2_p2,
     projective_plane_count,
-    punctual_ideal_records,
     run_bridge,
 )
-from .ideals import IdealRecord, enumerate_closed_subspaces, reduced_echelon_forms
+from .ideals import enumerate_closed_subspaces, reduced_echelon_forms
 from .tables import MAX_COLENGTH, ROWS, expected_class
 
 __all__ = [
-    "BRIDGES", "CURVES", "FqCountResult", "IdealRecord", "LocalAlgebra",
-    "MAX_COLENGTH", "NODE", "RIBBON", "ROWS", "bridge_check_all",
-    "count_grassmannian", "count_hilb2_p2", "count_punctual_ideals",
-    "count_punctual_total_vs_table", "count_sym2_p2",
-    "enumerate_closed_subspaces", "expected_class", "projective_plane_count",
-    "punctual_ideal_records", "reduced_echelon_forms", "run_bridge",
+    "BRIDGES", "CURVES", "FqCountResult", "LocalAlgebra", "MAX_COLENGTH",
+    "NODE", "RIBBON", "ROWS", "bridge_check_all", "count_grassmannian",
+    "count_hilb2_p2", "count_punctual_ideals", "count_punctual_total_vs_table",
+    "count_sym2_p2", "enumerate_closed_subspaces", "expected_class",
+    "projective_plane_count", "reduced_echelon_forms", "run_bridge",
     "truncated_algebra",
 ]

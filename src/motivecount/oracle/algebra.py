@@ -26,7 +26,6 @@ CURVES = (RIBBON, NODE)
 
 class LocalAlgebra(NamedTuple):
     curve: str
-    colength: int
     monomials: tuple[tuple[int, int], ...]
     mul_x: tuple[int, ...]  # basis index of x * monomial, or -1 if it vanishes
     mul_y: tuple[int, ...]
@@ -49,7 +48,6 @@ def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
 
     return LocalAlgebra(
         curve=curve,
-        colength=c,
         monomials=tuple(monomials),
         mul_x=tuple(index.get((a + 1, b), -1) for a, b in monomials),
         mul_y=tuple(index.get((a, b + 1), -1) for a, b in monomials),

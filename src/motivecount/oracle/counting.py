@@ -6,8 +6,8 @@ nonzero coordinate is 1, which needs no field arithmetic
 counts over F_q and F_(q^2).
 
 Punctual ideals are the multiplication-closed subspaces found by
-:func:`~motivecount.oracle.ideals.enumerate_closed_subspaces`, each checked
-again as it becomes a record.
+:func:`~motivecount.oracle.ideals.enumerate_closed_subspaces`, and their
+count is the size of the set it returns.
 
 Each counter alone states the field sizes it takes, and declines any other
 through :func:`~motivecount.oracle.ideals.require_field`, which raises
@@ -26,32 +26,19 @@ from typing import Callable, NamedTuple
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
 from ..motive import MotiveClass
 from .algebra import CURVES, truncated_algebra
-from .ideals import (
-    PRIMES,
-    IdealRecord,
-    enumerate_closed_subspaces,
-    reduced_echelon_forms,
-    require_field,
-)
+from .ideals import PRIMES, enumerate_closed_subspaces, reduced_echelon_forms, require_field
 from .tables import MAX_COLENGTH, expected_class
 
 
 # -- punctual ideals -----------------------------------------------------------
 
-def punctual_ideal_records(curve: str, colength: int, q: int) -> tuple[IdealRecord, ...]:
-    """Canonical records of all ideals of the given colength, validated to
-    be closed under multiplication."""
+def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
+    """Number of ideals of the given colength in the truncated germ algebra."""
     if not 1 <= colength <= MAX_COLENGTH:
         raise Unsupported(f"colength must be in 1..{MAX_COLENGTH}, got {colength}")
     alg = truncated_algebra(curve, colength)
     require_field(f"{curve} colength {colength}", q, PRIMES)
-    return tuple(IdealRecord.from_rows(basis, alg, q)
-                 for basis in sorted(enumerate_closed_subspaces(alg, q, colength)))
-
-
-def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
-    """Number of ideals of the given colength in the truncated germ algebra."""
-    return len(punctual_ideal_records(curve, colength, q))
+    return len(enumerate_closed_subspaces(alg, q, colength))
 
 
 # -- grassmannian --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Canonical ideal records and the echelon linear algebra behind them.
+"""The echelon linear algebra of the oracle and the searches built on it.
 
 A vector over the prime field F_q, indexed by the monomial basis of a
 :class:`~motivecount.oracle.algebra.LocalAlgebra`, is packed into one
@@ -8,13 +8,12 @@ multiply-add v + (q - c)*r followed by one ``bytes.translate`` through a
 table taking each byte value to its residue mod q.  For every prime
 q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
 translate, so no coefficient carries into the next; those primes are the
-kernel's domain.  Tuples appear only at the public edges: record bases
-and the results of the two enumerators, :func:`reduced_echelon_forms` and
-:func:`enumerate_closed_subspaces`.
+kernel's domain.  Coefficient tuples appear only in the result of
+:func:`enumerate_closed_subspaces`; :func:`reduced_echelon_forms` yields
+packed rows.
 
-An ideal is stored as the reduced row echelon basis of the subspace it
-spans, which is a canonical form: two ideals are equal iff their records
-are equal.
+A subspace is stored as the reduced row echelon basis of its span, which
+is a canonical form: two subspaces are equal iff their bases are equal.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
 
 from ..atoms import Unsupported
 from .algebra import LocalAlgebra
@@ -160,28 +158,6 @@ def reduced_echelon_forms(k: int, n: int, q: int):
     last free cell fastest."""
     for pivots in combinations(range(n), k):
         yield from product(*(row_choices(p, pivots, n, q) for p in pivots))
-
-
-class IdealRecord(NamedTuple):
-    """Canonical form of an ideal: reduced echelon basis plus colength."""
-
-    basis: tuple[Vector, ...]
-    colength: int
-
-    @classmethod
-    def from_rows(cls, basis: tuple[Vector, ...], alg: LocalAlgebra, q: int) -> "IdealRecord":
-        """Wrap an enumerated basis, checking that it is a reduced echelon
-        basis and that its span is closed under multiplication by x and y."""
-        pivots = [next((i for i, c in enumerate(v) if c), -1) for v in basis]
-        in_field = all(0 <= c < q for v in basis for c in v)
-        # each pivot column is the unit column of its row, pivots ascending
-        if not in_field or pivots != sorted(set(pivots)) or not all(
-                p >= 0 and [w[p] for w in basis] == [int(s == r) for s in range(len(basis))]
-                for r, p in enumerate(pivots)):
-            raise ValueError(f"basis not in reduced echelon form: {basis}")
-        if not is_closed([(p, pack(v)) for p, v in zip(pivots, basis)], alg, q):
-            raise ValueError(f"basis not closed under multiplication: {basis}")
-        return cls(basis=basis, colength=alg.dim - len(basis))
 
 
 def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:

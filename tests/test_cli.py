@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import motivecount
+import motivecount.oracle
 from motivecount.atoms import grassmannian
 from motivecount.cli import build_parser, main
 from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, Sum, format_expr, parse
@@ -493,6 +494,14 @@ def test_import_leaves_out_dataclasses():
     done = subprocess.run([sys.executable, "-E", "-s", "-c", probe], capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", [motivecount, motivecount.oracle],
+                         ids=lambda module: module.__name__)
+def test_public_names_resolve(module):
+    """Every name in a module's __all__ is one of its attributes, listed once."""
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert len(set(module.__all__)) == len(module.__all__)
 
 
 def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from motivecount.oracle import (
     CURVES,
     ROWS,
     FqCountResult,
-    IdealRecord,
     bridge_check_all,
     count_grassmannian,
     count_hilb2_p2,
@@ -23,12 +22,10 @@ from motivecount.oracle import (
     enumerate_closed_subspaces,
     expected_class,
     projective_plane_count,
-    punctual_ideal_records,
     reduced_echelon_forms,
     run_bridge,
     truncated_algebra,
 )
-from motivecount.oracle import counting
 from motivecount.oracle.ideals import (
     PRIMES,
     close_under_multiplication,
@@ -50,10 +47,10 @@ def _unpacked_forms(k, n, q):
     return [tuple(unpack(row, n) for row in form) for form in reduced_echelon_forms(k, n, q)]
 
 
-def _closed_record(generators, alg, q) -> IdealRecord:
-    """The record of the ideal spanned by the generators and their multiples."""
-    rows = close_under_multiplication([pack(v) for v in generators], alg, q)
-    return IdealRecord(basis=_basis(rows, alg.dim), colength=alg.dim - len(rows))
+def _closed_basis(generators, alg, q):
+    """The reduced echelon basis of the ideal spanned by the generators and
+    their multiples."""
+    return _basis(close_under_multiplication([pack(v) for v in generators], alg, q), alg.dim)
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -230,17 +227,6 @@ def test_punctual_counts_match_tables_small(curve, q, maxc):
         assert count_punctual_ideals(curve, c, q) == expected, (curve, c, q)
 
 
-@pytest.mark.parametrize("curve", CURVES)
-@pytest.mark.parametrize("q,colength", [(q, c) for q, maxc in ((5, 4), (7, 4), (11, 3), (13, 3))
-                                        for c in range(1, maxc + 1)])
-def test_punctual_counts_at_the_larger_primes(curve, q, colength):
-    """The cheap cells at the kernel's other primes: the records are the
-    closed subspaces, and their number is the row sum."""
-    records = {r.basis for r in punctual_ideal_records(curve, colength, q)}
-    assert records == enumerate_closed_subspaces(truncated_algebra(curve, colength), q, colength)
-    assert len(records) == expected_class(curve, colength).evaluate(q)
-
-
 def test_punctual_node_colength5():
     assert count_punctual_ideals("node", 5, 2) == expected_class("node", 5).evaluate(2) == 9
 
@@ -263,8 +249,7 @@ def test_punctual_ribbon_colength5_known_row_defect():
         gen[idx[(1, 1)]] = 1   # xy
         gen[idx[(0, 2)]] = 1   # k y^2 with k = 1
         gen[idx[(0, 3)]] = kp  # k' y^3
-        rec = _closed_record([tuple(gen)] + m4, alg, 2)
-        assert rec.colength == 4
+        assert alg.dim - len(_closed_basis([tuple(gen)] + m4, alg, 2)) == 4
 
 
 #: ideal counts at colengths 1 to 6, pinned; ribbon colength 5 is
@@ -352,8 +337,13 @@ def test_closed_subspaces_at_every_prime(curve, q, colength):
     """Every cell up to colength 6 is counted at every prime the kernel
     takes.  Each count equals the row sum at L = q, except ribbon colength
     5, where the search finds q^2 + q + 1 ideals against the tabulated
-    2q^2 + 1."""
-    count = len(enumerate_closed_subspaces(truncated_algebra(curve, colength), q, colength))
+    2q^2 + 1.  Each basis the search returns is its own closure, so it is
+    in reduced echelon form and spans an ideal."""
+    alg = truncated_algebra(curve, colength)
+    found = enumerate_closed_subspaces(alg, q, colength)
+    for basis in found:
+        assert _closed_basis(basis, alg, q) == basis, basis
+    count = len(found)
     if (curve, q, colength) in PINNED_AT_LARGE_PRIMES:
         assert count == PINNED_AT_LARGE_PRIMES[curve, q, colength]
     if (curve, colength) == ("ribbon", 5):
@@ -383,62 +373,6 @@ def test_closed_subspaces_need_a_prime_the_kernel_supports(q):
     with pytest.raises(Unsupported, match=rf"^closed subspaces at q={q}: counting supports q in "
                                           r"\(2, 3, 5, 7, 11, 13\)$"):
         enumerate_closed_subspaces(truncated_algebra("node", 2), q, 2)
-
-
-def test_ideal_records_are_canonical_and_idempotent():
-    for curve in CURVES:
-        alg = truncated_algebra(curve, 3)
-        records = punctual_ideal_records(curve, 3, 2)
-        assert len({r.basis for r in records}) == len(records)
-        for rec in records:
-            assert rec.colength == 3
-            # closing an ideal again is the identity
-            assert _closed_record(rec.basis, alg, 2) == rec
-
-
-def test_from_rows_rejects_non_ideals():
-    alg = truncated_algebra("node", 2)
-    # span of the single vector "x" is not an ideal (x*x = x^2 escapes)
-    x_vec = tuple(1 if alg.monomials[i] == (1, 0) else 0 for i in range(alg.dim))
-    with pytest.raises(ValueError, match="^basis not closed under multiplication"):
-        IdealRecord.from_rows((x_vec,), alg, 2)
-
-
-@pytest.mark.parametrize("curve", CURVES)
-def test_from_rows_rejects_bases_not_in_reduced_echelon_form(curve):
-    """A record's basis is its canonical key, so from_rows takes only a
-    reduced echelon basis and never reduces one itself."""
-    alg = truncated_algebra(curve, 3)
-    for q in (2, 3):
-        for basis in sorted(enumerate_closed_subspaces(alg, q, 3)):
-            assert _span_rref(basis, q) == basis
-            assert IdealRecord.from_rows(basis, alg, q).basis == basis
-            first, second, *rest = basis
-            bad = [
-                tuple(reversed(basis)),  # same span, pivots descending
-                # same span, a pivot column not cleared
-                (tuple((a + b) % q for a, b in zip(first, second)), second, *rest),
-                (first,) + basis,  # a repeated row
-                ((0,) * alg.dim,) + basis,  # a zero row
-            ]
-            if q == 3:  # same span, a pivot 2
-                bad.append((tuple(2 * a % q for a in first), second, *rest))
-            for rows in bad:
-                with pytest.raises(ValueError, match="^basis not in reduced echelon form"):
-                    IdealRecord.from_rows(rows, alg, q)
-
-
-def test_from_rows_rejects_coefficients_outside_the_field():
-    """(x + y, x^2, y^2) in the node's colength-2 algebra, with y's
-    coefficient written 3 or 5: the same ideal mod 2, but not its canonical
-    basis, and 3 or 5 is not a coefficient the packed kernel reads."""
-    alg = truncated_algebra("node", 2)
-    assert alg.monomials == ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))
-    basis = ((0, 1, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
-    assert IdealRecord.from_rows(basis, alg, 2).colength == 2
-    for c in (3, 5):
-        with pytest.raises(ValueError, match="^basis not in reduced echelon form"):
-            IdealRecord.from_rows(((0, 1, 0, c, 0),) + basis[1:], alg, 2)
 
 
 def _monomial_multiple(f, monomial, alg, q):
@@ -513,7 +447,7 @@ def test_a_unit_generates_the_whole_algebra(curve):
     identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
     rows = close_under_multiplication([pack(x), pack(unit), pack(y2)], alg, 3)
     assert _basis(rows, alg.dim) == identity
-    assert _closed_record([unit], alg, 3).colength == 0
+    assert alg.dim - len(_closed_basis([unit], alg, 3)) == 0
 
 
 # -- the packed kernel against tuple elimination ----------------------------------
@@ -559,20 +493,6 @@ def test_kernel_matches_tuple_elimination(q):
                 span = _span_rref([vector() for _ in range(rng.randint(1, alg.dim))], q)
                 rows = [(pivot(pack(v)), pack(v)) for v in span]
                 assert is_closed(rows, alg, q) == _tuple_is_closed(span, alg, q), (curve, c)
-
-
-def test_order_independence(monkeypatch):
-    """The records come sorted, whatever order the search yields them in."""
-    baseline = punctual_ideal_records("node", 3, 3)
-    assert [r.basis for r in baseline] == sorted(r.basis for r in baseline)
-    search = counting.enumerate_closed_subspaces
-    for seed in range(5):
-        def shuffled(alg, q, colength, rng=random.Random(seed)):
-            found = list(search(alg, q, colength))
-            rng.shuffle(found)
-            return found
-        monkeypatch.setattr(counting, "enumerate_closed_subspaces", shuffled)
-        assert punctual_ideal_records("node", 3, 3) == baseline
 
 
 # -- results ----------------------------------------------------------------------
