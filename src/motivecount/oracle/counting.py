@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from functools import partial
 from itertools import product
+from operator import countOf
 from typing import Callable, NamedTuple
 
 from ..atoms import Unsupported, grassmannian, hilb_p2, projective
@@ -45,11 +46,14 @@ def count_punctual_ideals(curve: str, colength: int, q: int) -> int:
 
 def count_grassmannian(k: int, n: int, q: int) -> int:
     """Number of k-dimensional subspaces of n-space over F_q, counted by
-    enumerating reduced echelon forms."""
+    enumerating reduced echelon forms.  ``countOf(map(len, forms), k)``
+    counts the forms with k rows, which is all of them, with no Python frame
+    per form; each form is dropped as soon as its length is read, so
+    ``product`` reuses its tuple."""
     require_field(f"gr({k},{n})", q, (2, 3, 4))
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got ({k}, {n})")
-    return sum(1 for _ in reduced_echelon_forms(k, n, q))
+    return countOf(map(len, reduced_echelon_forms(k, n, q)), k)
 
 
 # -- plane points and the hilbert scheme of two points -------------------------

@@ -9,8 +9,9 @@ table taking each byte value to its residue mod q.  For every prime
 q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
 translate, so no coefficient carries into the next; those primes are the
 kernel's domain.  Coefficient tuples appear only in the result of
-:func:`enumerate_closed_subspaces`; :func:`reduced_echelon_forms` yields
-packed rows.
+:func:`enumerate_closed_subspaces`; :func:`reduced_echelon_forms` chains
+``itertools.product`` over the pivot sets, so its forms, tuples of packed
+rows, are built in C.
 
 A subspace is stored as the reduced row echelon basis of its span, which
 is a canonical form: two subspaces are equal iff their bases are equal.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from ..atoms import Unsupported
 from .algebra import LocalAlgebra
@@ -149,15 +150,16 @@ def row_choices(p: int, pivots, n: int, q: int) -> list[int]:
 
 
 def reduced_echelon_forms(k: int, n: int, q: int):
-    """Yield every reduced echelon form of a k x n matrix of rank k over
-    F_q, one per k-dimensional subspace, as a tuple of k packed rows.
+    """An iterator over every reduced echelon form of a k x n matrix of rank
+    k over F_q, one per k-dimensional subspace, as a tuple of k packed rows.
 
     For a fixed pivot set each row varies independently over its
-    :func:`row_choices`, so the forms are their product; pivot sets come
-    in :func:`itertools.combinations` order, row 0 varies slowest and the
-    last free cell fastest."""
-    for pivots in combinations(range(n), k):
-        yield from product(*(row_choices(p, pivots, n, q) for p in pivots))
+    :func:`row_choices`, so the forms are their :func:`itertools.product`;
+    one :func:`itertools.chain` joins the pivot sets, in
+    :func:`itertools.combinations` order, so no Python frame runs per form.
+    Row 0 varies slowest and the last free cell fastest."""
+    return chain.from_iterable(product(*(row_choices(p, pivots, n, q) for p in pivots))
+                               for pivots in combinations(range(n), k))
 
 
 def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:

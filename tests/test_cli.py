@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import csv
 import errno
 import hashlib
 import io
@@ -531,6 +532,16 @@ def test_oracle_gr(capsys):
     lines = out.splitlines()
     assert lines[0] == "counter,q,params,count,expected,pass,millis"
     assert any(line.startswith('gr,2,"(2,6)",651,651,pass,') for line in lines)
+
+
+def test_oracle_gr_every_field_size(capsys):
+    code, out, err = run(capsys, "oracle", "--check", "gr", "--q", "2,3,4")
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["counter", "q", "params", "count", "expected", "pass", "millis"]
+    assert len(rows) == 15
+    assert {row[0] for row in rows} == {"gr"} and {row[1] for row in rows} == {"2", "3", "4"}
+    assert all(row[5] == "pass" and row[3] == row[4] for row in rows)
 
 
 def test_oracle_hilb2(capsys):

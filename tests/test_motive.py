@@ -1,6 +1,7 @@
 """Ring arithmetic in Z[L]: examples and edge cases."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,32 @@ def test_pow():
     assert (ONE + L) ** 3 == MotiveClass((1, 3, 3, 1))
     with pytest.raises(ValueError):
         (ONE + L) ** -1
+
+
+def test_pow_matches_repeated_multiplication():
+    x = MotiveClass((2, -1, 0, 3))
+    product = ONE
+    for n in range(34):
+        assert x ** n == product, n
+        product = product * x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 33, 200, 255, 256])
+def test_pow_multiplies_at_most_log_plus_popcount_times(monkeypatch, n):
+    """Square-and-multiply squares only while bits remain: at most
+    floor(log2 n) squarings and popcount(n) products."""
+    calls = 0
+    mul = MotiveClass.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MotiveClass, "__mul__", counted)
+    x = MotiveClass((1, 1))
+    assert x ** n == MotiveClass([comb(n, i) for i in range(n + 1)])
+    assert calls <= max(n.bit_length() - 1, 0) + bin(n).count("1")
 
 
 def test_exact_div():

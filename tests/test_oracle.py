@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import motivecount.oracle.counting as counting
 from motivecount.atoms import Unsupported, grassmannian, hilb_p2, projective
 from motivecount.cli import result_fields, results_to_csv
 from motivecount.oracle import (
@@ -121,6 +122,20 @@ def test_count_grassmannian_values():
     # closed-form cross-check
     assert count_grassmannian(2, 6, 2) == (2**6 - 1) * (2**6 - 2) // ((2**2 - 1) * (2**2 - 2))
     assert count_grassmannian(2, 4, 3) == (3**4 - 1) * (3**4 - 3) // ((3**2 - 1) * (3**2 - 3))
+
+
+def test_count_grassmannian_reads_the_forms_at_call_time(monkeypatch):
+    """count_grassmannian looks reduced_echelon_forms up in its module at
+    each call, so a wrapper put there sees every form it counts."""
+    tally = []
+
+    def tallied(k, n, q):
+        for form in reduced_echelon_forms(k, n, q):
+            tally.append(form)
+            yield form
+
+    monkeypatch.setattr(counting, "reduced_echelon_forms", tallied)
+    assert count_grassmannian(2, 6, 4) == len(tally) == 93093
 
 
 def test_count_grassmannian_errors():
