@@ -182,15 +182,22 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     completed to a closed subspace.
 
     The held rows span a fixed space, so the test is linear in the a_j and
-    the admissible rows are solved for, not tried.  Each column j, then p,
-    is packed as x e_j | y e_j | e_j, three blocks of dim bytes, and
-    reduced by :func:`echelon_reduce` against the held rows, lifted into
-    both product blocks, and the columns already kept.  A column that keeps
-    a pivot in a product block is kept; one that reduces to its last block,
-    the tag, is a combination of the a_j whose multiples lie in the span.
-    If p's column reduces to its tag, that tag is one admissible row, and
-    the others add every F_q-combination of the earlier tags; otherwise no
-    row at pivot p is admissible.
+    the admissible rows are solved for, not tried.  Each free column j is
+    packed once per cell as x e_j | y e_j | e_j, three blocks of dim bytes.
+    At each search node one sweep walks the free region from its last
+    column down to the smallest candidate pivot, skipping the pivots
+    chosen, and reduces each column once by :func:`echelon_reduce` against
+    the held rows, lifted into both product blocks, and the columns kept so
+    far.  A column that keeps a pivot in a product block is kept; one that
+    reduces to its last block, the tag, joins the kernel: a combination of
+    the a_j whose multiples lie in the span.  Every chosen pivot is larger
+    than every candidate, so the columns reduced before candidate p are
+    exactly the free columns after p that are not pivots.  If p's column
+    reduces to its tag, that tag, whose e_p coefficient stays 1, is one
+    admissible row, and the others add every F_q-combination of the kernel
+    tags found before it; otherwise no row at pivot p is admissible.  The
+    admissible rows form an affine space, so the order of the columns does
+    not change them.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -200,27 +207,33 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     extra_dim = (dim - colength) - len(forced)
     found: set[tuple[Vector, ...]] = set()
     x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
+    columns = [vec_mul_monomial(e, x_shifts) | vec_mul_monomial(e, y_shifts) << 8 * dim
+               | e << 16 * dim for e in (1 << 8 * j for j in free_region)]
     table = _residues(q)
 
-    def closed_rows(rows: list[Row], pivots: tuple[int, ...], p: int) -> list[int]:
-        # every admissible row at pivot p, given the rows held
+    def closed_rows(rows: list[Row], pivots: tuple[int, ...], k: int,
+                    top: int) -> list[tuple[int, int, list[int]]]:
+        # (t, p, every admissible row at pivot p = free_region[t]) for each
+        # candidate k - 1 <= t < top with one, given the rows held
         basis = sorted(rows + [(i + dim, v << 8 * dim) for i, v in rows])
         kernel: list[int] = []
-        for j in [j for j in free_region if j > p and j not in pivots] + [p]:
-            e = 1 << 8 * j
-            column = (vec_mul_monomial(e, x_shifts) | vec_mul_monomial(e, y_shifts) << 8 * dim
-                      | e << 16 * dim)
-            piv, v = echelon_reduce(basis, column, q, 3 * dim)
+        choices = []
+        for t in range(len(free_region) - 1, k - 2, -1):
+            p = free_region[t]
+            if p in pivots:
+                continue
+            piv, v = echelon_reduce(basis, columns[t], q, 3 * dim)
             if piv < 2 * dim:
                 insort(basis, (piv, v))
-            elif j != p:
-                kernel.append(v >> 16 * dim)
-            else:
-                solutions = [v >> 16 * dim]
+                continue
+            tag = v >> 16 * dim
+            if t < top:
+                solutions = [tag]
                 for w in kernel:
                     solutions = [_mod(s + c * w, table, dim) for s in solutions for c in range(q)]
-                return solutions
-        return []
+                choices.append((t, p, solutions))
+            kernel.append(tag)
+        return choices
 
     def extend(rows: list[Row], pivots: tuple[int, ...], k: int, top: int) -> None:
         # rows holds the forced rows and the rows chosen at pivots, a reduced
@@ -228,8 +241,8 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
         if not k:
             found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
             return
-        for t, p in enumerate(free_region[k - 1:top], k - 1):
-            for v in closed_rows(rows, pivots, p):
+        for t, p, solutions in closed_rows(rows, pivots, k, top):
+            for v in solutions:
                 extend(rows + [(p, v)], pivots + (p,), k - 1, t)
 
     if extra_dim >= 0:
