@@ -346,10 +346,10 @@ class _Parser:
         """The integer parameters along a template's text after its keyword,
         such as '({},{})'."""
         args = []
-        for piece in re.findall(r"\{\}|.", shape):
-            if piece == "{}":
+        for k, text in enumerate(shape.split("{}")):
+            if k:
                 args.append(self._int())
-            else:
+            for piece in text:
                 self._expect(piece, (f"'{piece}'",))
         return tuple(args)
 

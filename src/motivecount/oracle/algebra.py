@@ -15,6 +15,7 @@ echelon forms depend on it):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..atoms import Unsupported
@@ -32,6 +33,7 @@ class LocalAlgebra(NamedTuple):
     dim: int  # len(monomials), stored: the oracle's inner loops read it
 
 
+@lru_cache(maxsize=None)
 def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
     if curve not in CURVES:
         raise Unsupported(f"curve must be one of {CURVES}, got {curve!r}")

@@ -8,18 +8,22 @@ multiply-add v + (q - c)*r followed by one ``bytes.translate`` through a
 table taking each byte value to its residue mod q.  For every prime
 q <= 13 a byte holds at most (q - 1) + (q - 1)^2 <= 156 before that
 translate, so no coefficient carries into the next; those primes are the
-kernel's domain.  Coefficient tuples appear only in the result of
-:func:`enumerate_closed_subspaces`; :func:`reduced_echelon_forms` chains
-``itertools.product`` over the pivot sets, so its forms, tuples of packed
-rows, are built in C.
+kernel's domain.  An echelon basis being built is held as a
+``{pivot: packed row}`` dict with its mask, an int with byte value 255 at
+every pivot, so :func:`echelon_reduce` visits only the pivots a vector
+meets.  Coefficient tuples appear only at the edges, through :func:`pack`
+and :func:`unpack`.
 
 A subspace is stored as the reduced row echelon basis of its span, which
 is a canonical form: two subspaces are equal iff their bases are equal.
+A basis is returned as a tuple of packed rows in ascending pivot order,
+both by :func:`enumerate_closed_subspaces` and by
+:func:`reduced_echelon_forms`, which chains ``itertools.product`` over the
+pivot sets, so its forms are built in C.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from itertools import chain, combinations, product
 
@@ -87,14 +91,23 @@ def vec_mul_monomial(v: int, shifts: tuple[tuple[int, int], ...]) -> int:
     return out
 
 
-def echelon_reduce(rows: list[Row], v: int, q: int, dim: int) -> Row | None:
-    """Reduce v, of dim coefficients, against an echelon basis; return the
-    normalized new row, or None if v lies in the span."""
+def echelon_reduce(rows: dict[int, int], mask: int, v: int, q: int, dim: int) -> Row | None:
+    """Reduce v, of dim coefficients, against an echelon basis held as a
+    {pivot: packed row} dict with its mask, an int with byte value 255 at
+    every pivot; return the normalized new row, or None if v lies in the
+    span.
+
+    Only the pivots v meets are visited: while hit = v & mask is nonzero, v
+    is reduced at the lowest pivot it hits.  A row is zero below its pivot,
+    so that clears the pivot's byte and changes only larger ones; the
+    pivots reduced at, and the result, are those of reducing by every row
+    in pivot order.  The rows need not be reduced against each other."""
     table = _residues(q)
-    for piv, row in rows:
-        c = v >> 8 * piv & 255
-        if c:
-            v = _mod(v + (q - c) * row, table, dim)
+    hit = v & mask
+    while hit:
+        p = pivot(hit)
+        v = _mod(v + (q - (v >> 8 * p & 255)) * rows[p], table, dim)
+        hit = v & mask
     if not v:
         return None
     p = pivot(v)
@@ -110,31 +123,39 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     with a worklist.  The basis is its own canonical form.
 
     Each worklist vector is reduced by :func:`echelon_reduce` against the
-    rows found so far; a vector that keeps a new row adds it, in pivot
-    order, and its x- and y-multiples join the worklist.  One
-    back-substitution at the end, from the last row up, reduces each row
-    against the rows below it.  No count runs through it; it closes given
-    generators, a reference independent of the search."""
+    rows found so far; a vector that keeps a new row adds it at its pivot,
+    and its x- and y-multiples join the worklist.  One back-substitution at
+    the end, from the last pivot down, reduces each row against the rows
+    after it.  No count runs through it; it closes given generators, a
+    reference independent of the search."""
     work = list(generators)
     dim = alg.dim
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
-    basis: list[Row] = []
+    basis: dict[int, int] = {}
+    mask = 0
     while work:
-        row = echelon_reduce(basis, work.pop(), q, dim)
+        row = echelon_reduce(basis, mask, work.pop(), q, dim)
         if row:
-            insort(basis, row)
-            work += [vec_mul_monomial(row[1], m) for m in maps]
-    for k in reversed(range(len(basis))):
-        basis[k] = echelon_reduce(basis[k + 1:], basis[k][1], q, dim)
-    return basis
+            p, v = row
+            basis[p] = v
+            mask |= 255 << 8 * p
+            work += [vec_mul_monomial(v, m) for m in maps]
+    reduced: dict[int, int] = {}
+    mask = 0
+    for p in sorted(basis, reverse=True):
+        reduced[p] = echelon_reduce(reduced, mask, basis[p], q, dim)[1]
+        mask |= 255 << 8 * p
+    return sorted(reduced.items())
 
 
 def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
-    """Whether the span of an echelon basis, rows sorted by pivot, is closed
-    under multiplication by x and by y, i.e. is an ideal."""
+    """Whether the span of an echelon basis, given as (pivot, row) pairs, is
+    closed under multiplication by x and by y, i.e. is an ideal."""
+    basis = dict(rows)
+    mask = sum(255 << 8 * p for p in basis)
     maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
-    return all(echelon_reduce(rows, vec_mul_monomial(v, m), q, alg.dim) is None
-               for _, v in rows for m in maps)
+    return all(echelon_reduce(basis, mask, vec_mul_monomial(v, m), q, alg.dim) is None
+               for v in basis.values() for m in maps)
 
 
 def row_choices(p: int, pivots, n: int, q: int) -> list[int]:
@@ -162,10 +183,12 @@ def reduced_echelon_forms(k: int, n: int, q: int):
                                for pivots in combinations(range(n), k))
 
 
-def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[Vector, ...]]:
+def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[tuple[int, ...]]:
     """All subspaces of the algebra closed under multiplication by x and y,
     of the given colength: its ideals, with no assumption on how many
-    generators they need; q must be a prime in :data:`PRIMES`.
+    generators they need; q must be a prime in :data:`PRIMES`.  Each is
+    its reduced echelon basis, a tuple of packed rows in ascending pivot
+    order, the layout of :func:`reduced_echelon_forms`' forms.
 
     The punctual counts are the sizes of these sets.  A colength-c ideal
     contains every monomial of degree >= c and lies inside the maximal
@@ -188,16 +211,19 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     column down to the smallest candidate pivot, skipping the pivots
     chosen, and reduces each column once by :func:`echelon_reduce` against
     the held rows, lifted into both product blocks, and the columns kept so
-    far.  A column that keeps a pivot in a product block is kept; one that
-    reduces to its last block, the tag, joins the kernel: a combination of
-    the a_j whose multiples lie in the span.  Every chosen pivot is larger
-    than every candidate, so the columns reduced before candidate p are
-    exactly the free columns after p that are not pivots.  If p's column
-    reduces to its tag, that tag, whose e_p coefficient stays 1, is one
-    admissible row, and the others add every F_q-combination of the kernel
-    tags found before it; otherwise no row at pivot p is admissible.  The
-    admissible rows form an affine space, so the order of the columns does
-    not change them.
+    far: one basis dict per node, which a kept column joins with one insert
+    and one ``mask |=``.  A column that keeps a pivot in a product block is
+    kept; one that reduces to its last block, the tag, joins the kernel: a
+    combination of the a_j whose multiples lie in the span.  Every chosen
+    pivot is larger than every candidate, so the columns reduced before
+    candidate p are exactly the free columns after p that are not pivots.
+    If p's column reduces to its tag, that tag, whose e_p coefficient stays
+    1, is one admissible row, and the others add every F_q-combination of
+    the kernel tags found before it; otherwise no row at pivot p is
+    admissible.  The admissible rows form an affine space, so the order of
+    the columns does not change them.  The held rows are kept in pivot
+    order, a row at pivot p going after the forced rows below p, so the
+    last row chosen completes a basis in one tuple concatenation.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
@@ -205,26 +231,31 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     forced = [i for i, d in enumerate(deg) if d >= colength]
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
     extra_dim = (dim - colength) - len(forced)
-    found: set[tuple[Vector, ...]] = set()
+    found: set[tuple[int, ...]] = set()
     x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
     columns = [vec_mul_monomial(e, x_shifts) | vec_mul_monomial(e, y_shifts) << 8 * dim
                | e << 16 * dim for e in (1 << 8 * j for j in free_region)]
+    # where a row at pivot free_region[t] goes in the held rows: after the
+    # forced rows before it, and before every chosen row, all at larger pivots
+    slots = [sum(i < p for i in forced) for p in free_region]
     table = _residues(q)
 
-    def closed_rows(rows: list[Row], pivots: tuple[int, ...], k: int,
+    def closed_rows(held: dict[int, int], mask: int, k: int,
                     top: int) -> list[tuple[int, int, list[int]]]:
         # (t, p, every admissible row at pivot p = free_region[t]) for each
-        # candidate k - 1 <= t < top with one, given the rows held
-        basis = sorted(rows + [(i + dim, v << 8 * dim) for i, v in rows])
+        # candidate k - 1 <= t < top with one, given the held rows at their
+        # pivots in both product blocks; held's keys below dim are the pivots
+        basis = dict(held)
         kernel: list[int] = []
         choices = []
         for t in range(len(free_region) - 1, k - 2, -1):
             p = free_region[t]
-            if p in pivots:
+            if p in held:
                 continue
-            piv, v = echelon_reduce(basis, columns[t], q, 3 * dim)
+            piv, v = echelon_reduce(basis, mask, columns[t], q, 3 * dim)
             if piv < 2 * dim:
-                insort(basis, (piv, v))
+                basis[piv] = v
+                mask |= 255 << 8 * piv
                 continue
             tag = v >> 16 * dim
             if t < top:
@@ -235,16 +266,25 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
             kernel.append(tag)
         return choices
 
-    def extend(rows: list[Row], pivots: tuple[int, ...], k: int, top: int) -> None:
-        # rows holds the forced rows and the rows chosen at pivots, a reduced
-        # echelon basis; choose k more rows, pivots from free_region[:top]
-        if not k:
-            found.add(tuple(unpack(v, dim) for _, v in sorted(rows)))
-            return
-        for t, p, solutions in closed_rows(rows, pivots, k, top):
+    def extend(rows: tuple[int, ...], held: dict[int, int], mask: int, k: int, top: int) -> None:
+        # rows holds the forced rows and the rows chosen so far, a reduced
+        # echelon basis in pivot order, and held and mask the same rows at
+        # their pivots in both product blocks; choose k >= 1 more rows,
+        # pivots from free_region[:top]
+        for t, p, solutions in closed_rows(held, mask, k, top):
+            before, after = rows[:slots[t]], rows[slots[t]:]
+            if k == 1:
+                found.update([before + (v,) + after for v in solutions])
+                continue
+            lifted = mask | 255 << 8 * p | 255 << 8 * (p + dim)
             for v in solutions:
-                extend(rows + [(p, v)], pivots + (p,), k - 1, t)
+                extend(before + (v,) + after, {**held, p: v, p + dim: v << 8 * dim},
+                       lifted, k - 1, t)
 
-    if extra_dim >= 0:
-        extend([(i, 1 << 8 * i) for i in forced], (), extra_dim, len(free_region))
+    rows = tuple(1 << 8 * i for i in forced)
+    if extra_dim == 0:
+        found.add(rows)
+    elif extra_dim > 0:
+        held = {i + b * dim: 1 << 8 * (i + b * dim) for i in forced for b in (0, 1)}
+        extend(rows, held, sum(255 << 8 * i for i in held), extra_dim, len(free_region))
     return found

@@ -20,6 +20,8 @@ multiplication-closed subspaces finds.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..dsl import evaluate
 from ..motive import ZERO, MotiveClass
 from .algebra import NODE, RIBBON
@@ -78,4 +80,10 @@ def expected_class(curve: str, colength: int) -> MotiveClass:
     params = [p for c, _, p in ROWS.get(curve, ()) if c == colength]
     if not params:
         raise ValueError(f"no rows for {curve} colength {colength}")
-    return sum(map(evaluate, params), ZERO)
+    return sum(map(_param_class, params), ZERO)
+
+
+@lru_cache(maxsize=None)
+def _param_class(text: str) -> MotiveClass:
+    """The class of a row's parameter space; the rows repeat a few texts."""
+    return evaluate(text)

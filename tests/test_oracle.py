@@ -50,9 +50,9 @@ def _unpacked_forms(k, n, q):
 
 
 def _closed_basis(generators, alg, q):
-    """The reduced echelon basis of the ideal spanned by the generators and
-    their multiples."""
-    return _basis(close_under_multiplication([pack(v) for v in generators], alg, q), alg.dim)
+    """The reduced echelon basis, packed rows in pivot order, of the ideal
+    spanned by the packed generators and their multiples."""
+    return tuple(v for _, v in close_under_multiplication(generators, alg, q))
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -258,14 +258,13 @@ def test_punctual_ribbon_colength5_known_row_defect():
     # the suspect family, closed in the colength-5 ambient algebra
     alg = truncated_algebra("ribbon", 5)
     idx = {m: i for i, m in enumerate(alg.monomials)}
-    m4 = [tuple(1 if j == i else 0 for j in range(alg.dim))
-          for i, mon in enumerate(alg.monomials) if sum(mon) >= 4]
+    m4 = [1 << 8 * i for i, mon in enumerate(alg.monomials) if sum(mon) >= 4]
     for kp in (0, 1):
         gen = [0] * alg.dim
         gen[idx[(1, 1)]] = 1   # xy
         gen[idx[(0, 2)]] = 1   # k y^2 with k = 1
         gen[idx[(0, 3)]] = kp  # k' y^3
-        assert alg.dim - len(_closed_basis([tuple(gen)] + m4, alg, 2)) == 4
+        assert alg.dim - len(_closed_basis([pack(gen)] + m4, alg, 2)) == 4
 
 
 #: ideal counts at colengths 1 to 6, pinned; ribbon colength 5 is
@@ -299,8 +298,7 @@ def test_closed_subspaces_match_every_subspace_tested(q, maxc):
     for curve in CURVES:
         for c in range(1, maxc + 1):
             alg = truncated_algebra(curve, c)
-            reference = {tuple(unpack(v, alg.dim) for v in form)
-                         for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
+            reference = {form for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
                          if is_closed([(pivot(v), v) for v in form], alg, q)}
             assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
 
@@ -316,7 +314,7 @@ def _closed_subspaces_by_trial(alg, q, colength):
 
     def extend(rows, pivots, k, top):
         if not k:
-            found.add(tuple(unpack(v, alg.dim) for _, v in sorted(rows)))
+            found.add(tuple(v for _, v in sorted(rows)))
             return
         for t, p in enumerate(free_region[k - 1:top], k - 1):
             for v in row_choices(p, pivots, alg.dim, q):
@@ -353,8 +351,8 @@ def test_closed_subspaces_at_every_prime(curve, q, colength):
     """Every cell up to colength 6 is counted at every prime the kernel
     takes.  Each count equals the row sum at L = q, except ribbon colength
     5, where the search finds q^2 + q + 1 ideals against the tabulated
-    2q^2 + 1.  Each basis the search returns is its own closure, so it is
-    in reduced echelon form and spans an ideal."""
+    2q^2 + 1.  Each basis the search returns, packed rows in pivot order, is
+    its own closure, so it is in reduced echelon form and spans an ideal."""
     alg = truncated_algebra(curve, colength)
     found = enumerate_closed_subspaces(alg, q, colength)
     for basis in found:
@@ -397,6 +395,16 @@ def test_closed_subspaces_match_the_closed_forms_beyond_the_table(q):
         node = enumerate_closed_subspaces(truncated_algebra("node", c), q, c)
         assert len(ribbon) == sum(q ** i for i in range(c // 2 + 1)), c
         assert len(node) == 1 + (c - 1) * q, c
+
+
+def test_closed_subspaces_match_the_closed_forms_at_the_largest_prime():
+    """At q = 13, where a packed coefficient has the least headroom, ribbon
+    colength 8 counts sum_{i <= 4} 13^i and node colength 10 counts
+    1 + 9 * 13, the classes above at L = 13."""
+    ribbon = enumerate_closed_subspaces(truncated_algebra("ribbon", 8), 13, 8)
+    node = enumerate_closed_subspaces(truncated_algebra("node", 10), 13, 10)
+    assert len(ribbon) == sum(13 ** i for i in range(5)) == 30_941
+    assert len(node) == 1 + 9 * 13 == 118
 
 
 def test_the_search_reduces_each_free_column_once_per_node(monkeypatch):
@@ -499,7 +507,7 @@ def test_a_unit_generates_the_whole_algebra(curve):
     identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
     rows = close_under_multiplication([pack(x), pack(unit), pack(y2)], alg, 3)
     assert _basis(rows, alg.dim) == identity
-    assert alg.dim - len(_closed_basis([unit], alg, 3)) == 0
+    assert alg.dim - len(_closed_basis([pack(unit)], alg, 3)) == 0
 
 
 # -- the packed kernel against tuple elimination ----------------------------------
@@ -512,6 +520,51 @@ def test_pack_round_trip():
     assert pack((1, 2, 0, 0)) == pack((1, 2)) == 0x0201
     vectors = [(1,), (0, 2), (0, 0, 0, 7, 1), (0,) * 12 + (1,)]
     assert [pivot(pack(v)) for v in vectors] == [0, 1, 3, 12]
+
+
+def _eliminate_row_by_row(rows, v, q):
+    """Reduce a coefficient tuple by each (pivot, row) of an echelon basis
+    in pivot order, then scale its first nonzero coefficient to 1; None if
+    nothing is left."""
+    for p, row in sorted(rows):
+        c = v[p]
+        v = tuple((a - c * b) % q for a, b in zip(v, row))
+    if not any(v):
+        return None
+    p = next(i for i, c in enumerate(v) if c)
+    inv = pow(v[p], q - 2, q)
+    return p, tuple(a * inv % q for a in v)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_echelon_reduce_matches_row_by_row_elimination(q):
+    """echelon_reduce, which visits only the pivots a vector meets, agrees
+    with reducing by every row in turn, on random echelon bases whose rows
+    are not reduced against each other.  Widths reach 3 * dim of colength 6,
+    the search's three blocks.  A vector zero at every pivot is only
+    normalized, and a combination of the rows reduces to None."""
+    rng = random.Random(2000 + q)
+    for n in (1, 2, 5, 13, 39):
+        for _ in range(30):
+            pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+            rows = [(p, tuple(0 if i < p else 1 if i == p else rng.randrange(q)
+                              for i in range(n))) for p in pivots]
+            basis = {p: pack(row) for p, row in rows}
+            mask = sum(255 << 8 * p for p in pivots)
+
+            def reduce(v):
+                got = echelon_reduce(basis, mask, pack(v), q, n)
+                return got and (got[0], unpack(got[1], n))
+
+            v = tuple(rng.randrange(q) for _ in range(n))
+            assert reduce(v) == _eliminate_row_by_row(rows, v, q), (n, rows, v)
+            off = tuple(0 if i in pivots else rng.randrange(q) for i in range(n))
+            assert reduce(off) == _eliminate_row_by_row([], off, q), (n, rows, off)
+            combo = [0] * n
+            for _, row in rows:
+                c = rng.randrange(q)
+                combo = [(a + c * b) % q for a, b in zip(combo, row)]
+            assert reduce(tuple(combo)) is None, (n, rows, combo)
 
 
 def _tuple_is_closed(basis, alg, q):
