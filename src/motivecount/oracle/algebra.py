@@ -11,6 +11,9 @@ echelon forms depend on it):
 
 * ribbon: 1, y, y^2, ..., y^c, then x, xy, ..., x y^(c-1)
 * node:   1, x, x^2, ..., x^c, then y, y^2, ..., y^c
+
+Multiplication by x and by y is stored once, as the packed image of each
+basis vector (see :mod:`motivecount.oracle.ideals`).
 """
 
 from __future__ import annotations
@@ -26,11 +29,17 @@ CURVES = (RIBBON, NODE)
 
 
 class LocalAlgebra(NamedTuple):
+    """The truncated algebra of the germ ``curve`` at one colength.
+    ``monomials``: the basis, x^a y^b as (a, b), in the module's order.
+    ``x``, ``y``: the packed product of each basis vector by x and by y,
+    ``1 << 8*k`` if it is basis monomial k, 0 if it vanishes.
+    ``dim``: len(monomials), stored because the oracle's inner loops read it."""
+
     curve: str
     monomials: tuple[tuple[int, int], ...]
-    mul_x: tuple[int, ...]  # basis index of x * monomial, or -1 if it vanishes
-    mul_y: tuple[int, ...]
-    dim: int  # len(monomials), stored: the oracle's inner loops read it
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    dim: int
 
 
 @lru_cache(maxsize=None)
@@ -46,12 +55,12 @@ def truncated_algebra(curve: str, colength: int) -> LocalAlgebra:
         monomials = [(j, 0) for j in range(c + 1)] + [(0, j) for j in range(1, c + 1)]
     # a product outside the basis is zero: a multiple of x^2 (ribbon) or xy
     # (node), or of degree over c
-    index = {m: i for i, m in enumerate(monomials)}
+    unit = {m: 1 << 8 * i for i, m in enumerate(monomials)}
 
     return LocalAlgebra(
         curve=curve,
         monomials=tuple(monomials),
-        mul_x=tuple(index.get((a + 1, b), -1) for a, b in monomials),
-        mul_y=tuple(index.get((a, b + 1), -1) for a, b in monomials),
+        x=tuple(unit.get((a + 1, b), 0) for a, b in monomials),
+        y=tuple(unit.get((a, b + 1), 0) for a, b in monomials),
         dim=len(monomials),
     )

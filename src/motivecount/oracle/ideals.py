@@ -11,8 +11,9 @@ translate, so no coefficient carries into the next; those primes are the
 kernel's domain.  An echelon basis being built is held as a
 ``{pivot: packed row}`` dict with its mask, an int with byte value 255 at
 every pivot, so :func:`echelon_reduce` visits only the pivots a vector
-meets.  Coefficient tuples appear only at the edges, through :func:`pack`
-and :func:`unpack`.
+meets.  Multiplication by x or y is :func:`multiply`, over the packed
+images of the basis vectors that the algebra holds.  Coefficient tuples
+appear only at the edges, through :func:`pack` and :func:`unpack`.
 
 A subspace is stored as the reduced row echelon basis of its span, which
 is a canonical form: two subspaces are equal iff their bases are equal.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import mul
 
 from ..atoms import Unsupported
 from .algebra import LocalAlgebra
@@ -70,25 +72,12 @@ def _mod(x: int, table: bytes, dim: int) -> int:
     return int.from_bytes(x.to_bytes(dim, "little").translate(table), "little")
 
 
-@lru_cache(maxsize=None)
-def monomial_shifts(mul_map: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Multiplication by x or y as (mask, bit shift) pairs, one per distinct
-    offset mul_map[i] - i: the product of v is the OR of (v & mask) << shift.
-    The monomial maps are injective where nonzero, so the parts never
-    overlap."""
-    masks: dict[int, int] = {}
-    for i, j in enumerate(mul_map):
-        if j >= 0:
-            masks[j - i] = masks.get(j - i, 0) | 255 << 8 * i
-    return tuple((mask, 8 * offset) for offset, mask in masks.items())
-
-
-def vec_mul_monomial(v: int, shifts: tuple[tuple[int, int], ...]) -> int:
-    """Multiply a packed vector by x or y, given as :func:`monomial_shifts`."""
-    out = 0
-    for mask, shift in shifts:
-        out |= (v & mask) << shift
-    return out
+def multiply(images: tuple[int, ...], v: int, dim: int) -> int:
+    """The product of a packed vector of dim coefficients by x or y, given
+    as the images of the basis vectors (``LocalAlgebra.x`` or ``.y``): the
+    sum of v's coefficients times their images.  The images are distinct
+    unit vectors or 0, so no two terms share a byte and none is reduced."""
+    return sum(map(mul, v.to_bytes(dim, "little"), images))
 
 
 def echelon_reduce(rows: dict[int, int], mask: int, v: int, q: int, dim: int) -> Row | None:
@@ -124,13 +113,12 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
 
     Each worklist vector is reduced by :func:`echelon_reduce` against the
     rows found so far; a vector that keeps a new row adds it at its pivot,
-    and its x- and y-multiples join the worklist.  One back-substitution at
-    the end, from the last pivot down, reduces each row against the rows
-    after it.  No count runs through it; it closes given generators, a
-    reference independent of the search."""
+    and its x- and y-multiples, by :func:`multiply`, join the worklist.
+    One back-substitution at the end, from the last pivot down, reduces
+    each row against the rows after it.  No count runs through it; it
+    closes given generators, a reference independent of the search."""
     work = list(generators)
     dim = alg.dim
-    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
     basis: dict[int, int] = {}
     mask = 0
     while work:
@@ -139,7 +127,7 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
             p, v = row
             basis[p] = v
             mask |= 255 << 8 * p
-            work += [vec_mul_monomial(v, m) for m in maps]
+            work += [multiply(alg.x, v, dim), multiply(alg.y, v, dim)]
     reduced: dict[int, int] = {}
     mask = 0
     for p in sorted(basis, reverse=True):
@@ -153,9 +141,8 @@ def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
     closed under multiplication by x and by y, i.e. is an ideal."""
     basis = dict(rows)
     mask = sum(255 << 8 * p for p in basis)
-    maps = (monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y))
-    return all(echelon_reduce(basis, mask, vec_mul_monomial(v, m), q, alg.dim) is None
-               for v in basis.values() for m in maps)
+    return all(echelon_reduce(basis, mask, multiply(m, v, alg.dim), q, alg.dim) is None
+               for v in basis.values() for m in (alg.x, alg.y))
 
 
 def row_choices(p: int, pivots, n: int, q: int) -> list[int]:
@@ -206,7 +193,8 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
 
     The held rows span a fixed space, so the test is linear in the a_j and
     the admissible rows are solved for, not tried.  Each free column j is
-    packed once per cell as x e_j | y e_j | e_j, three blocks of dim bytes.
+    packed once per cell from the algebra's images as x e_j | y e_j | e_j,
+    three blocks of dim bytes.
     At each search node one sweep walks the free region from its last
     column down to the smallest candidate pivot, skipping the pivots
     chosen, and reduces each column once by :func:`echelon_reduce` against
@@ -232,9 +220,7 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
     extra_dim = (dim - colength) - len(forced)
     found: set[tuple[int, ...]] = set()
-    x_shifts, y_shifts = monomial_shifts(alg.mul_x), monomial_shifts(alg.mul_y)
-    columns = [vec_mul_monomial(e, x_shifts) | vec_mul_monomial(e, y_shifts) << 8 * dim
-               | e << 16 * dim for e in (1 << 8 * j for j in free_region)]
+    columns = [alg.x[j] | alg.y[j] << 8 * dim | 1 << 8 * (j + 2 * dim) for j in free_region]
     # where a row at pivot free_region[t] goes in the held rows: after the
     # forced rows before it, and before every chosen row, all at larger pivots
     slots = [sum(i < p for i in forced) for p in free_region]

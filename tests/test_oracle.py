@@ -32,6 +32,7 @@ from motivecount.oracle.ideals import (
     close_under_multiplication,
     echelon_reduce,
     is_closed,
+    multiply,
     pack,
     pivot,
     row_choices,
@@ -183,22 +184,24 @@ NODE_TABLE_Q3 = [1, 4, 7, 10, 13, 16]
 
 @pytest.mark.parametrize("curve", CURVES)
 def test_multiplication_follows_the_monomial_order(curve):
-    """The basis order is a monomial order: multiplying by x or y sends
-    index i to a larger index or to -1 (the product vanishes), and keeps
-    the order of any two indices whose products are both nonzero."""
+    """The basis order is a monomial order: the packed image of basis
+    vector i under x or y is 0 (the product vanishes) or the unit vector
+    1 << 8*j at a larger index j, and the order of any two indices whose
+    products are both nonzero is kept."""
     for c in range(1, 11):
         alg = truncated_algebra(curve, c)
-        for mul_map in (alg.mul_x, alg.mul_y):
-            assert all(j == -1 or j > i for i, j in enumerate(mul_map)), (c, mul_map)
-            images = [j for j in mul_map if j != -1]
-            assert all(a < b for a, b in zip(images, images[1:])), (c, mul_map)
+        for images in (alg.x, alg.y):
+            assert all(e == 0 or e == 1 << 8 * pivot(e) and pivot(e) > i
+                       for i, e in enumerate(images)), (c, images)
+            targets = [pivot(e) for e in images if e]
+            assert all(a < b for a, b in zip(targets, targets[1:])), (c, images)
         # each entry follows the germ's equations: x^a y^b is zero exactly
         # when x^2 = 0 (ribbon) or xy = 0 (node) kills it, or a + b > c
         for i, (a, b) in enumerate(alg.monomials):
             assert not _vanishes(curve, c, a, b), (c, a, b)
-            for j, image in ((alg.mul_x[i], (a + 1, b)), (alg.mul_y[i], (a, b + 1))):
-                assert (j == -1) == _vanishes(curve, c, *image), (c, image, j)
-                assert j == -1 or alg.monomials[j] == image, (c, image, j)
+            for e, image in ((alg.x[i], (a + 1, b)), (alg.y[i], (a, b + 1))):
+                assert (e == 0) == _vanishes(curve, c, *image), (c, image, e)
+                assert e == 0 or alg.monomials[pivot(e)] == image, (c, image, e)
 
 
 def _vanishes(curve, c, a, b):
@@ -352,11 +355,13 @@ def test_closed_subspaces_at_every_prime(curve, q, colength):
     takes.  Each count equals the row sum at L = q, except ribbon colength
     5, where the search finds q^2 + q + 1 ideals against the tabulated
     2q^2 + 1.  Each basis the search returns, packed rows in pivot order, is
-    its own closure, so it is in reduced echelon form and spans an ideal."""
+    its own closure, so it is in reduced echelon form and spans an ideal,
+    and has dim - colength rows."""
     alg = truncated_algebra(curve, colength)
     found = enumerate_closed_subspaces(alg, q, colength)
     for basis in found:
         assert _closed_basis(basis, alg, q) == basis, basis
+        assert len(basis) == alg.dim - colength, basis
     count = len(found)
     if (curve, q, colength) in PINNED_AT_LARGE_PRIMES:
         assert count == PINNED_AT_LARGE_PRIMES[curve, q, colength]
@@ -395,6 +400,38 @@ def test_closed_subspaces_match_the_closed_forms_beyond_the_table(q):
         node = enumerate_closed_subspaces(truncated_algebra("node", c), q, c)
         assert len(ribbon) == sum(q ** i for i in range(c // 2 + 1)), c
         assert len(node) == 1 + (c - 1) * q, c
+
+
+def _proved_ideals(curve, c, q):
+    """The generators of each ideal of the proofs above, packed.  Ribbon:
+    <y^a + x g(y), x y^b> with b <= a, a + b = c and deg g < b.  Node:
+    (x^a, y^b) with a + b = c + 1, and (x^a + l y^b) with a + b = c and
+    l != 0; a, b >= 1 in both."""
+    alg = truncated_algebra(curve, c)
+    unit = {m: 1 << 8 * i for i, m in enumerate(alg.monomials)}
+    if curve == "ribbon":
+        for b in range(c // 2 + 1):
+            for g in itertools.product(range(q), repeat=b):
+                yield [unit[0, c - b] + sum(k * unit[1, j] for j, k in enumerate(g)), unit[1, b]]
+    else:
+        for a in range(1, c + 1):
+            yield [unit[a, 0], unit[0, c + 1 - a]]
+        for a in range(1, c):
+            for lam in range(1, q):
+                yield [unit[a, 0] + lam * unit[0, c - a]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("curve", CURVES)
+def test_closed_subspaces_are_the_proofs_ideals(curve, q):
+    """Up to colength 8 the search finds exactly the ideals the proofs
+    above list, each closed from its generators by
+    close_under_multiplication, and the proofs list no ideal twice."""
+    for c in range(1, 9):
+        alg = truncated_algebra(curve, c)
+        proved = [_closed_basis(gens, alg, q) for gens in _proved_ideals(curve, c, q)]
+        assert len(set(proved)) == len(proved), (curve, q, c)
+        assert set(proved) == enumerate_closed_subspaces(alg, q, c), (curve, q, c)
 
 
 def test_closed_subspaces_match_the_closed_forms_at_the_largest_prime():
@@ -436,17 +473,33 @@ def test_closed_subspaces_need_a_prime_the_kernel_supports(q):
 
 
 def _monomial_multiple(f, monomial, alg, q):
-    """f times the basis monomial x^a y^b, each coefficient shifted a times
-    along mul_x and b times along mul_y (-1: the product vanishes)."""
+    """f times the monomial x^a y^b: each term moves to the product
+    monomial, or vanishes if that monomial is not in the basis."""
+    index = {m: i for i, m in enumerate(alg.monomials)}
     out = [0] * alg.dim
-    for i, c in enumerate(f):
-        k = i
-        for mul_map, times in ((alg.mul_x, monomial[0]), (alg.mul_y, monomial[1])):
-            for _ in range(times):
-                k = mul_map[k] if k >= 0 else -1
-        if k >= 0:
+    for (a, b), c in zip(alg.monomials, f):
+        k = index.get((a + monomial[0], b + monomial[1]))
+        if k is not None:
             out[k] = (out[k] + c) % q
     return out
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_multiply_matches_the_monomial_multiple(q):
+    """multiply, the sum of the coefficients times their packed images,
+    agrees with moving each term to its product monomial, on the zero
+    vector, the all-(q - 1) vector and random vectors, times x and times y,
+    on both germs up to colength 10."""
+    rng = random.Random(3000 + q)
+    for curve in CURVES:
+        for c in range(1, 11):
+            alg = truncated_algebra(curve, c)
+            vectors = [(0,) * alg.dim, (q - 1,) * alg.dim]
+            vectors += [tuple(rng.randrange(q) for _ in range(alg.dim)) for _ in range(10)]
+            for v in vectors:
+                for images, monomial in ((alg.x, (1, 0)), (alg.y, (0, 1))):
+                    got = unpack(multiply(images, pack(v), alg.dim), alg.dim)
+                    assert got == tuple(_monomial_multiple(v, monomial, alg, q)), (curve, c, v)
 
 
 def _span_rref(vectors, q):
