@@ -48,7 +48,8 @@ from .motive import MotiveClass
 
 
 class ParseError(ValueError):
-    """Syntax error with byte offset and the set of expected tokens."""
+    """Syntax error with its offset, counted in code points (characters of
+    the source string, not UTF-8 bytes), and the set of expected tokens."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):
         self.offset = offset

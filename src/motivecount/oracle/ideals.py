@@ -17,10 +17,12 @@ appear only at the edges, through :func:`pack` and :func:`unpack`.
 
 A subspace is stored as the reduced row echelon basis of its span, which
 is a canonical form: two subspaces are equal iff their bases are equal.
-A basis is returned as a tuple of packed rows in ascending pivot order,
-both by :func:`enumerate_closed_subspaces` and by
-:func:`reduced_echelon_forms`, which chains ``itertools.product`` over the
-pivot sets, so its forms are built in C.
+Every basis the module takes or returns is a tuple of packed rows in
+ascending pivot order: the ideals of :func:`enumerate_closed_subspaces`
+and of :func:`close_under_multiplication`, the argument of
+:func:`is_closed`, and the forms of :func:`reduced_echelon_forms`, which
+chains ``itertools.product`` over the pivot sets, so its forms are built
+in C.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from ..atoms import Unsupported
 from .algebra import LocalAlgebra
 
 Vector = tuple[int, ...]
-Row = tuple[int, int]  # (pivot index, normalized packed row)
 
 #: the field sizes the packed kernel computes over
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -80,11 +81,12 @@ def multiply(images: tuple[int, ...], v: int, dim: int) -> int:
     return sum(map(mul, v.to_bytes(dim, "little"), images))
 
 
-def echelon_reduce(rows: dict[int, int], mask: int, v: int, q: int, dim: int) -> Row | None:
+def echelon_reduce(rows: dict[int, int], mask: int, v: int, q: int,
+                   dim: int) -> tuple[int, int] | None:
     """Reduce v, of dim coefficients, against an echelon basis held as a
     {pivot: packed row} dict with its mask, an int with byte value 255 at
-    every pivot; return the normalized new row, or None if v lies in the
-    span.
+    every pivot; return the new row's pivot and the row, normalized, or
+    None if v lies in the span.
 
     Only the pivots v meets are visited: while hit = v & mask is nonzero, v
     is reduced at the lowest pivot it hits.  A row is zero below its pivot,
@@ -106,10 +108,11 @@ def echelon_reduce(rows: dict[int, int], mask: int, v: int, q: int, dim: int) ->
     return p, v
 
 
-def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Row]:
-    """Reduced echelon basis, rows sorted by pivot, of the ideal generated
-    by the given packed vectors: the span of all monomial multiples, built
-    with a worklist.  The basis is its own canonical form.
+def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> tuple[int, ...]:
+    """Reduced echelon basis, a tuple of packed rows in ascending pivot
+    order, of the ideal generated by the given packed vectors: the span of
+    all monomial multiples, built with a worklist.  The basis is its own
+    canonical form.
 
     Each worklist vector is reduced by :func:`echelon_reduce` against the
     rows found so far; a vector that keeps a new row adds it at its pivot,
@@ -133,16 +136,16 @@ def close_under_multiplication(generators, alg: LocalAlgebra, q: int) -> list[Ro
     for p in sorted(basis, reverse=True):
         reduced[p] = echelon_reduce(reduced, mask, basis[p], q, dim)[1]
         mask |= 255 << 8 * p
-    return sorted(reduced.items())
+    return tuple(reversed(reduced.values()))
 
 
-def is_closed(rows: list[Row], alg: LocalAlgebra, q: int) -> bool:
-    """Whether the span of an echelon basis, given as (pivot, row) pairs, is
+def is_closed(rows: tuple[int, ...], alg: LocalAlgebra, q: int) -> bool:
+    """Whether the span of an echelon basis, given as packed rows, is
     closed under multiplication by x and by y, i.e. is an ideal."""
-    basis = dict(rows)
+    basis = {pivot(v): v for v in rows}
     mask = sum(255 << 8 * p for p in basis)
     return all(echelon_reduce(basis, mask, multiply(m, v, alg.dim), q, alg.dim) is None
-               for v in basis.values() for m in (alg.x, alg.y))
+               for v in rows for m in (alg.x, alg.y))
 
 
 def row_choices(p: int, pivots, n: int, q: int) -> list[int]:
@@ -194,31 +197,34 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     The held rows span a fixed space, so the test is linear in the a_j and
     the admissible rows are solved for, not tried.  Each free column j is
     packed once per cell from the algebra's images as x e_j | y e_j | e_j,
-    three blocks of dim bytes.
-    At each search node one sweep walks the free region from its last
-    column down to the smallest candidate pivot, skipping the pivots
-    chosen, and reduces each column once by :func:`echelon_reduce` against
-    the held rows, lifted into both product blocks, and the columns kept so
-    far: one basis dict per node, which a kept column joins with one insert
-    and one ``mask |=``.  A column that keeps a pivot in a product block is
-    kept; one that reduces to its last block, the tag, joins the kernel: a
-    combination of the a_j whose multiples lie in the span.  Every chosen
-    pivot is larger than every candidate, so the columns reduced before
-    candidate p are exactly the free columns after p that are not pivots.
-    If p's column reduces to its tag, that tag, whose e_p coefficient stays
-    1, is one admissible row, and the others add every F_q-combination of
-    the kernel tags found before it; otherwise no row at pivot p is
-    admissible.  The admissible rows form an affine space, so the order of
-    the columns does not change them.  The held rows are kept in pivot
-    order, a row at pivot p going after the forced rows below p, so the
-    last row chosen completes a basis in one tuple concatenation.
+    three blocks of dim bytes.  The search is one recursion.  Each node
+    sweeps the free region once, from its last column down to the smallest
+    candidate pivot, skipping the pivots chosen, and reduces each column
+    once by :func:`echelon_reduce` against the held rows, lifted into both
+    product blocks, and the columns kept so far: one basis dict per node,
+    which a kept column joins with one insert and one ``mask |=``.  A
+    column that keeps a pivot in a product block is kept; one that reduces
+    to its last block, the tag, joins the kernel: a combination of the a_j
+    whose multiples lie in the span.  Every chosen pivot is larger than
+    every candidate, so the columns reduced before candidate p are exactly
+    the free columns after p that are not pivots.  If p's column reduces
+    to its tag, that tag, whose e_p coefficient stays 1, is one admissible
+    row, and the others add every F_q-combination of the kernel tags found
+    before it; otherwise no row at pivot p is admissible.  The admissible
+    rows form an affine space, so the order of the columns does not change
+    them.  With each admissible row the node descends at once, or, when
+    that row is the last to choose, adds the finished bases, and then it
+    resumes its sweep: each child gets a new held dict and a new tuple of
+    rows, so the descent changes nothing the sweep holds.  The held rows
+    are kept in pivot order, a row at pivot p going after the forced rows
+    below p, so the last row chosen completes a basis in one tuple
+    concatenation.
     """
     require_field("closed subspaces", q, PRIMES)
     dim = alg.dim
     deg = [a + b for a, b in alg.monomials]
     forced = [i for i, d in enumerate(deg) if d >= colength]
     free_region = [i for i, d in enumerate(deg) if 0 < d < colength]
-    extra_dim = (dim - colength) - len(forced)
     found: set[tuple[int, ...]] = set()
     columns = [alg.x[j] | alg.y[j] << 8 * dim | 1 << 8 * (j + 2 * dim) for j in free_region]
     # where a row at pivot free_region[t] goes in the held rows: after the
@@ -226,51 +232,42 @@ def enumerate_closed_subspaces(alg: LocalAlgebra, q: int, colength: int) -> set[
     slots = [sum(i < p for i in forced) for p in free_region]
     table = _residues(q)
 
-    def closed_rows(held: dict[int, int], mask: int, k: int,
-                    top: int) -> list[tuple[int, int, list[int]]]:
-        # (t, p, every admissible row at pivot p = free_region[t]) for each
-        # candidate k - 1 <= t < top with one, given the held rows at their
-        # pivots in both product blocks; held's keys below dim are the pivots
-        basis = dict(held)
+    def extend(rows: tuple[int, ...], held: dict[int, int], mask: int, k: int, top: int) -> None:
+        # rows holds the forced rows and the rows chosen so far, a reduced
+        # echelon basis in pivot order, and held and mask the same rows at
+        # their pivots in both product blocks (held's keys below dim are the
+        # pivots); choose k >= 1 more rows, pivots from free_region[:top]
+        basis, reach = dict(held), mask
         kernel: list[int] = []
-        choices = []
         for t in range(len(free_region) - 1, k - 2, -1):
             p = free_region[t]
             if p in held:
                 continue
-            piv, v = echelon_reduce(basis, mask, columns[t], q, 3 * dim)
+            piv, v = echelon_reduce(basis, reach, columns[t], q, 3 * dim)
             if piv < 2 * dim:
                 basis[piv] = v
-                mask |= 255 << 8 * piv
+                reach |= 255 << 8 * piv
                 continue
             tag = v >> 16 * dim
             if t < top:
-                solutions = [tag]
+                admissible = [tag]
                 for w in kernel:
-                    solutions = [_mod(s + c * w, table, dim) for s in solutions for c in range(q)]
-                choices.append((t, p, solutions))
+                    admissible = [_mod(s + c * w, table, dim) for s in admissible for c in range(q)]
+                before, after = rows[:slots[t]], rows[slots[t]:]
+                if k == 1:
+                    found.update([before + (r,) + after for r in admissible])
+                else:
+                    lifted = mask | 255 << 8 * p | 255 << 8 * (p + dim)
+                    for r in admissible:
+                        extend(before + (r,) + after, {**held, p: r, p + dim: r << 8 * dim},
+                               lifted, k - 1, t)
             kernel.append(tag)
-        return choices
-
-    def extend(rows: tuple[int, ...], held: dict[int, int], mask: int, k: int, top: int) -> None:
-        # rows holds the forced rows and the rows chosen so far, a reduced
-        # echelon basis in pivot order, and held and mask the same rows at
-        # their pivots in both product blocks; choose k >= 1 more rows,
-        # pivots from free_region[:top]
-        for t, p, solutions in closed_rows(held, mask, k, top):
-            before, after = rows[:slots[t]], rows[slots[t]:]
-            if k == 1:
-                found.update([before + (v,) + after for v in solutions])
-                continue
-            lifted = mask | 255 << 8 * p | 255 << 8 * (p + dim)
-            for v in solutions:
-                extend(before + (v,) + after, {**held, p: v, p + dim: v << 8 * dim},
-                       lifted, k - 1, t)
 
     rows = tuple(1 << 8 * i for i in forced)
-    if extra_dim == 0:
-        found.add(rows)
-    elif extra_dim > 0:
+    k = dim - colength - len(forced)
+    if k:
         held = {i + b * dim: 1 << 8 * (i + b * dim) for i in forced for b in (0, 1)}
-        extend(rows, held, sum(255 << 8 * i for i in held), extra_dim, len(free_region))
+        extend(rows, held, sum(255 << 8 * i for i in held), k, len(free_region))
+    else:
+        found.add(rows)
     return found

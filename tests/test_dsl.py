@@ -112,6 +112,9 @@ def test_node_contract():
     ("Gr(\u00b2,4)", 3),
     ("\u2075", 0),  # superscript five
     ("P\u0663", 1),  # Arabic-Indic three
+    # the ideographic space separates tokens and is one code point of three
+    # UTF-8 bytes: offsets count code points, so '$' is at 4, not byte 6
+    ("P1\u3000+$", 4),
 ])
 def test_parse_errors_carry_offsets(source, offset):
     with pytest.raises(ParseError) as err:

@@ -41,19 +41,13 @@ from motivecount.oracle.ideals import (
 
 
 def _basis(rows, dim):
-    """The coefficient tuples of packed (pivot, row) pairs."""
-    return tuple(unpack(v, dim) for _, v in rows)
+    """The coefficient tuples of packed rows."""
+    return tuple(unpack(v, dim) for v in rows)
 
 
 def _unpacked_forms(k, n, q):
     """reduced_echelon_forms with each packed row read back as a tuple."""
     return [tuple(unpack(row, n) for row in form) for form in reduced_echelon_forms(k, n, q)]
-
-
-def _closed_basis(generators, alg, q):
-    """The reduced echelon basis, packed rows in pivot order, of the ideal
-    spanned by the packed generators and their multiples."""
-    return tuple(v for _, v in close_under_multiplication(generators, alg, q))
 
 
 # -- plane point counts ---------------------------------------------------------
@@ -267,7 +261,7 @@ def test_punctual_ribbon_colength5_known_row_defect():
         gen[idx[(1, 1)]] = 1   # xy
         gen[idx[(0, 2)]] = 1   # k y^2 with k = 1
         gen[idx[(0, 3)]] = kp  # k' y^3
-        assert alg.dim - len(_closed_basis([pack(gen)] + m4, alg, 2)) == 4
+        assert alg.dim - len(close_under_multiplication([pack(gen)] + m4, alg, 2)) == 4
 
 
 #: ideal counts at colengths 1 to 6, pinned; ribbon colength 5 is
@@ -297,12 +291,17 @@ def test_punctual_counts_pinned_at_q2_and_q3():
 def test_closed_subspaces_match_every_subspace_tested(q, maxc):
     """The search, which varies only the middle degrees and prunes row by
     row, finds the same subspaces as testing every subspace of the right
-    dimension for closure."""
+    dimension for closure.  The two references agree: a form passes
+    is_closed exactly when close_under_multiplication returns it as it is."""
     for curve in CURVES:
         for c in range(1, maxc + 1):
             alg = truncated_algebra(curve, c)
-            reference = {form for form in reduced_echelon_forms(alg.dim - c, alg.dim, q)
-                         if is_closed([(pivot(v), v) for v in form], alg, q)}
+            reference = set()
+            for form in reduced_echelon_forms(alg.dim - c, alg.dim, q):
+                closed = is_closed(form, alg, q)
+                assert closed == (close_under_multiplication(form, alg, q) == form), form
+                if closed:
+                    reference.add(form)
             assert enumerate_closed_subspaces(alg, q, c) == reference, (curve, c)
 
 
@@ -317,16 +316,16 @@ def _closed_subspaces_by_trial(alg, q, colength):
 
     def extend(rows, pivots, k, top):
         if not k:
-            found.add(tuple(v for _, v in sorted(rows)))
+            found.add(tuple(sorted(rows, key=pivot)))
             return
         for t, p in enumerate(free_region[k - 1:top], k - 1):
             for v in row_choices(p, pivots, alg.dim, q):
-                if is_closed(rows + [(p, v)], alg, q):
-                    extend(rows + [(p, v)], pivots + (p,), k - 1, t)
+                if is_closed(rows + (v,), alg, q):
+                    extend(rows + (v,), pivots + (p,), k - 1, t)
 
     k = alg.dim - colength - len(forced)
     if k >= 0:
-        extend([(i, 1 << 8 * i) for i in forced], forced, k, len(free_region))
+        extend(tuple(1 << 8 * i for i in forced), forced, k, len(free_region))
     return found
 
 
@@ -360,7 +359,7 @@ def test_closed_subspaces_at_every_prime(curve, q, colength):
     alg = truncated_algebra(curve, colength)
     found = enumerate_closed_subspaces(alg, q, colength)
     for basis in found:
-        assert _closed_basis(basis, alg, q) == basis, basis
+        assert close_under_multiplication(basis, alg, q) == basis, basis
         assert len(basis) == alg.dim - colength, basis
     count = len(found)
     if (curve, q, colength) in PINNED_AT_LARGE_PRIMES:
@@ -429,7 +428,7 @@ def test_closed_subspaces_are_the_proofs_ideals(curve, q):
     close_under_multiplication, and the proofs list no ideal twice."""
     for c in range(1, 9):
         alg = truncated_algebra(curve, c)
-        proved = [_closed_basis(gens, alg, q) for gens in _proved_ideals(curve, c, q)]
+        proved = [close_under_multiplication(gens, alg, q) for gens in _proved_ideals(curve, c, q)]
         assert len(set(proved)) == len(proved), (curve, q, c)
         assert set(proved) == enumerate_closed_subspaces(alg, q, c), (curve, q, c)
 
@@ -445,8 +444,8 @@ def test_closed_subspaces_match_the_closed_forms_at_the_largest_prime():
 
 
 def test_the_search_reduces_each_free_column_once_per_node(monkeypatch):
-    """One sweep per search node reduces each free column once, so the 20
-    cells of the default budget (q=2 up to colength 6, q=3 up to 4) take
+    """One sweep per search node reduces each free column once, so the
+    `punctual` workload's 20 cells (q=2 up to colength 6, q=3 up to 4) take
     636 eliminations; reducing the columns anew for every candidate pivot
     took 1,262.  The search looks echelon_reduce up by module name at call
     time, so a wrapper on that attribute sees every call."""
@@ -560,7 +559,7 @@ def test_a_unit_generates_the_whole_algebra(curve):
     identity = tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))
     rows = close_under_multiplication([pack(x), pack(unit), pack(y2)], alg, 3)
     assert _basis(rows, alg.dim) == identity
-    assert alg.dim - len(_closed_basis([pack(unit)], alg, 3)) == 0
+    assert alg.dim - len(close_under_multiplication([pack(unit)], alg, 3)) == 0
 
 
 # -- the packed kernel against tuple elimination ----------------------------------
@@ -649,7 +648,7 @@ def test_kernel_matches_tuple_elimination(q):
                 assert is_closed(rows, alg, q)
 
                 span = _span_rref([vector() for _ in range(rng.randint(1, alg.dim))], q)
-                rows = [(pivot(pack(v)), pack(v)) for v in span]
+                rows = tuple(pack(v) for v in span)
                 assert is_closed(rows, alg, q) == _tuple_is_closed(span, alg, q), (curve, c)
 
 
