@@ -14,9 +14,16 @@ Every document is written here, from the data that :mod:`.strata` and
 writes every document, to the ``-o`` path or standard output, and returns
 every exit status but a usage error's.  The parser checks every argument,
 each ``oracle`` option included, and a usage error leaves through
-argparse's ``SystemExit(2)`` before any file is opened.  The parser is
-built on the first :func:`main` call and reused by every later one in the
-process.
+argparse's ``SystemExit(2)`` before any file is opened.
+
+:data:`COMMANDS` states each command once: its help line, its ``cmd_*``
+function and the function that adds its options.  A line that starts with a
+command's name is read by that command's own parser, :func:`command_parser`;
+the full parser, :func:`build_parser`, with a subparser per command, reads
+any other line (none, ``-h``, an unknown command, an option before the
+command) and a line whose command leaves arguments over, so its usage and
+errors are printed as before.  Each parser is built the first time a line
+needs it and reused by every later one in the process.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import io
 import json
 import sys
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .atoms import Unsupported
 from .dsl import MAX_INT_DIGITS, ArityError, ParseError, evaluate
@@ -321,46 +329,94 @@ def cmd_report(args) -> tuple[str, int]:
     return document, 0 if ok else 1
 
 
+# -- parsers ------------------------------------------------------------------
+
+def _eval_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("expr")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--target", choices=VERIFY_TARGETS, required=True)
+    parser.add_argument("--format", choices=("json", "csv", "md", "text"), default="text")
+
+
+def _oracle_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"), required=True,
+                        help="punctual: each germ's ideal counts against the row sums; "
+                             "gr, hilb2: that counter's bridges; bridges: every bridge")
+    parser.add_argument("--q", type=_parse_qlist, default="2,3",
+                        help="comma-separated field sizes")
+    parser.add_argument("--max-colength", type=integer, default=MAX_COLENGTH,
+                        choices=range(1, MAX_COLENGTH + 1), metavar="MAX_COLENGTH",
+                        help=f"count colengths 1 to MAX_COLENGTH, in 1..{MAX_COLENGTH} "
+                             f"(default {MAX_COLENGTH}); only --check punctual reads it")
+
+
+def _report_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "md"), default="md")
+
+
+class Command(NamedTuple):
+    """A command: its help line, the function that runs it and the function
+    that adds its own options to a parser."""
+    help: str
+    func: Callable[[argparse.Namespace], tuple[str, int]]
+    add_options: Callable[[argparse.ArgumentParser], None]
+
+
+#: every command, by name, in the order the full parser lists them
+COMMANDS = {
+    "eval": Command("evaluate an expression to its class", cmd_eval, _eval_options),
+    "verify": Command("assemble and check the moduli classes", cmd_verify, _verify_options),
+    "oracle": Command("finite-field counting checks", cmd_oracle, _oracle_options),
+    "report": Command("verification plus oracle summary", cmd_report, _report_options),
+}
+
+
+def _fill_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    command = COMMANDS[name]
+    command.add_options(parser)
+    # declared last, so each command's usage and help list it after the
+    # command's own options
+    parser.add_argument("-o", "--output", help="write the output to this file, not stdout")
+    parser.set_defaults(func=command.func)
+    return parser
+
+
+@lru_cache(maxsize=None)
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, as the full parser's subparser for it (same
+    prog, so the same usage, help and errors), built on the command's first
+    call and shared by later ones: parsing keeps no state in it."""
+    return _fill_command(argparse.ArgumentParser(prog=f"motivecount {name}"), name)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built on the first call and shared by later
-    ones: parsing keeps no state in it."""
+    """The full parser, with a subparser for every command, built on the
+    first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="motivecount",
         description="Exact motive classes of one-dimensional plane-sheaf moduli, "
                     "with finite-field certification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression to its class")
-    p_eval.add_argument("expr")
-    p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="assemble and check the moduli classes")
-    p_verify.add_argument("--target", choices=VERIFY_TARGETS, required=True)
-    p_verify.add_argument("--format", choices=("json", "csv", "md", "text"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="finite-field counting checks")
-    p_oracle.add_argument("--check", choices=("gr", "punctual", "hilb2", "bridges"), required=True,
-                          help="punctual: each germ's ideal counts against the row sums; "
-                               "gr, hilb2: that counter's bridges; bridges: every bridge")
-    p_oracle.add_argument("--q", type=_parse_qlist, default="2,3",
-                          help="comma-separated field sizes")
-    p_oracle.add_argument("--max-colength", type=integer, default=MAX_COLENGTH,
-                          choices=range(1, MAX_COLENGTH + 1), metavar="MAX_COLENGTH",
-                          help=f"count colengths 1 to MAX_COLENGTH, in 1..{MAX_COLENGTH} "
-                               f"(default {MAX_COLENGTH}); only --check punctual reads it")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_report = sub.add_parser("report", help="verification plus oracle summary")
-    p_report.add_argument("--format", choices=("json", "md"), default="md")
-    p_report.set_defaults(func=cmd_report)
-    # declared last, so each command's usage and help list it after the
-    # command's own options
-    for command in sub.choices.values():
-        command.add_argument("-o", "--output", help="write the output to this file, not stdout")
+    for name, command in COMMANDS.items():
+        _fill_command(sub.add_parser(name, help=command.help), name)
     return parser
+
+
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a command line, as the full parser reads them.  A
+    line that starts with a command's name is read by that command's parser
+    alone; the full parser reads every other line, and a line whose command
+    leaves arguments over, so that it prints its own usage and errors."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 @contextlib.contextmanager
@@ -382,7 +438,7 @@ def main(argv=None) -> int:
     # every integer is read with at most MAX_INT_DIGITS digits, so an int-to-str
     # limit would only stop an answer, say Gr(2,6) at q, printing
     with _int_str_limit_lifted():
-        args = build_parser().parse_args(argv)
+        args = parse_command_line(sys.argv[1:] if argv is None else list(argv))
         try:
             if args.output is None and sys.stdout is None:  # started with stdout closed
                 raise OSError("standard output is closed")

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import motivecount
+import motivecount.cli
 import motivecount.oracle
 from motivecount.atoms import grassmannian
-from motivecount.cli import build_parser, main
+from motivecount.cli import COMMANDS, build_parser, command_parser, main
 from motivecount.dsl import MAX_DEGREE, MAX_INT_DIGITS, Sum, format_expr, parse
 
 
@@ -473,16 +475,87 @@ def test_oracle_help_describes_every_option(capsys, monkeypatch):
 
 def test_parser_built_once():
     assert build_parser() is build_parser()
+    assert command_parser("eval") is command_parser("eval")
+
+
+def _clear_parsers():
+    build_parser.cache_clear()
+    command_parser.cache_clear()
 
 
 def test_import_builds_no_parser():
-    """Importing the command line builds nothing: the parser waits for the
-    first main call."""
+    """Importing the command line builds nothing: each parser waits for the
+    first main call that needs it."""
     package_root = Path(motivecount.__file__).resolve().parents[1]
-    probe = "import motivecount.cli as c; print(c.build_parser.cache_info().currsize)"
+    probe = ("import motivecount.cli as c; "
+             "print(c.build_parser.cache_info().currsize, c.command_parser.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(package_root)}, check=True)
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"
+
+
+def test_command_line_builds_only_its_parser(capsys, monkeypatch):
+    """A line that starts with a command builds that command's parser alone;
+    any other line builds the full parser, one subparser per command."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    _clear_parsers()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert run(capsys, "eval", "P2")[0] == 0
+    assert built == ["motivecount eval"]
+    built.clear()
+    assert run_usage_error(capsys, "bogus")[0] == 2
+    assert built == ["motivecount"] + [f"motivecount {name}" for name in COMMANDS]
+
+
+#: help, usage errors, lines only the full parser reads, abbreviations and
+#: each way of giving an option its value
+DISPATCH_LINES = [
+    [], ["-h"], ["bogus"], ["Eval", "P1"], ["--", "eval", "P1"], ["-o", "x", "eval", "P1"],
+    *([name, "--help"] for name in COMMANDS),
+    ["eval", "P1", "extra"], ["verify", "--target", "m11", "x"], ["eval", "P2", "P3"],
+    ["eval", "P1", "--bogus"], ["eval", "P1", "--", "extra"],
+    ["eval", "P1", "--format", "yaml"], ["report", "--format", "txt"],
+    ["verify", "--target", "m99"], ["oracle", "--check", "gr", "--q", "2,,3"],
+    ["oracle", "--check", "punctual", "--max-colength", "7"],
+    ["eval", "P1", "--form", "json"], ["eval", "P1", "--format=json"],
+    ["oracle", "--check", "gr", "--q", "2", "--max", "3"], ["oracle", "--check=gr", "--q=2", "--he"],
+    ["eval", "--", "-1"], ["eval", "-1"], ["eval", "P1", "-o"], ["eval", "-h", "P1"], ["verify"],
+    ["eval", "P1", "-oout.txt"], ["--help", "eval"],
+]
+
+
+def _outcome(capsys, cwd, argv):
+    """What main(argv) does: its exit status, returned or raised, its stdout
+    and stderr, and the files it writes (an oracle row's timing cut off)."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(cwd.iterdir()):
+        files[path.name] = path.read_text(encoding="utf-8")
+        path.unlink()
+    out = _untimed(captured.out) if argv[:1] == ["oracle"] else captured.out
+    return status, out, captured.err, files
+
+
+@pytest.mark.parametrize("argv", DISPATCH_LINES, ids=lambda argv: shlex.join(argv) or "(none)")
+def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    """main does for every line what it did when the full parser read each
+    one: the same exit status, output, messages and files."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    dispatched = _outcome(capsys, tmp_path, argv)
+    monkeypatch.setattr(motivecount.cli, "parse_command_line",
+                        lambda argv: build_parser().parse_args(argv))
+    assert dispatched == _outcome(capsys, tmp_path, argv)
 
 
 def test_import_leaves_out_dataclasses():
@@ -509,14 +582,14 @@ def test_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
     """A usage error or --help leaves the shared parser as it was: the same
     command prints the same bytes as on the call that built the parser."""
     monkeypatch.setenv("COLUMNS", "80")
-    build_parser.cache_clear()
+    _clear_parsers()
     first = run(capsys, "eval", "P2", "--format", "json")
     with pytest.raises(SystemExit) as err:
         main(["eval", "P2", "--format", "yaml"])
     assert err.value.code == 2 and capsys.readouterr().out == ""
     assert run(capsys, "eval", "P2", "--format", "json") == first
 
-    build_parser.cache_clear()
+    _clear_parsers()
     helps = []
     for _ in range(2):
         with pytest.raises(SystemExit) as err:
